@@ -1,6 +1,7 @@
 #include "os/buffer_cache.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 
@@ -8,82 +9,79 @@ namespace flexfetch::os {
 
 namespace {
 
-std::size_t next_pow2(std::size_t n) {
-  std::size_t p = 16;
-  while (p < n) p <<= 1;
-  return p;
+/// Low 32 bits of the page's hash; tag & mask is the entry's home bucket.
+std::uint32_t tag_of(const PageId& id) {
+  return static_cast<std::uint32_t>(PageIdHash{}(id));
 }
 
 }  // namespace
 
-BufferCache::BufferCache(BufferCacheConfig config)
-    : capacity_(config.capacity_pages),
-      kin_(static_cast<std::size_t>(config.kin_fraction *
-                                    static_cast<double>(config.capacity_pages))),
-      kout_(static_cast<std::size_t>(config.kout_fraction *
-                                     static_cast<double>(config.capacity_pages))) {
+BufferCache::BufferCache(BufferCacheConfig config) : capacity_(config.capacity_pages) {
+  // All checks precede the double -> integer conversions (undefined for NaN,
+  // infinite or out-of-range values); every comparison fails on NaN.
   FF_REQUIRE(capacity_ >= 4, "buffer cache: capacity too small");
   FF_REQUIRE(config.kin_fraction > 0.0 && config.kin_fraction < 1.0,
              "buffer cache: kin fraction out of (0,1)");
-  FF_REQUIRE(config.kout_fraction > 0.0, "buffer cache: kout fraction <= 0");
-  kin_ = std::max<std::size_t>(kin_, 1);
-  kout_ = std::max<std::size_t>(kout_, 1);
+  FF_REQUIRE(config.kout_fraction > 0.0, "buffer cache: kout fraction not > 0");
+  const double cap = static_cast<double>(capacity_);
+  FF_REQUIRE(capacity_ < kNull && config.kout_fraction * cap < static_cast<double>(kNull),
+             "buffer cache: capacity too large for 32-bit slots");
+  kin_ = std::max<std::size_t>(static_cast<std::size_t>(config.kin_fraction * cap), 1);
+  kout_ = std::max<std::size_t>(static_cast<std::size_t>(config.kout_fraction * cap), 1);
 
   // One slot per resident page plus one per ghost; both populations are
-  // bounded (<= capacity_ residents, <= kout_ ghosts), so the arena never
-  // grows and a free slot always exists when insert_new needs one.
+  // bounded (<= capacity_ residents, <= kout_ ghosts), so the reserved arena
+  // never reallocates. Both terms are below 2^32: the sum cannot wrap.
   const std::size_t slots = capacity_ + kout_;
   FF_REQUIRE(slots < kNull, "buffer cache: capacity too large for 32-bit slots");
-  arena_.resize(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    arena_[i].next = i + 1 < slots ? static_cast<std::uint32_t>(i + 1) : kNull;
-  }
-  free_head_ = 0;
+  arena_.reserve(slots);
 
   // <= 50% load factor, power-of-two size: the table is sized once and
   // never rehashes.
-  map_.resize(next_pow2(2 * slots));
+  map_.resize(std::max<std::size_t>(16, std::bit_ceil(2 * slots)));
   map_mask_ = map_.size() - 1;
 }
 
 std::uint32_t BufferCache::map_find(const PageId& id) const {
-  std::size_t pos = PageIdHash{}(id) & map_mask_;
-  while (map_[pos].slot != kNull) {
-    if (map_[pos].key == id) return map_[pos].slot;
-    pos = (pos + 1) & map_mask_;
+  const std::uint32_t tag = tag_of(id);
+  for (std::size_t pos = tag & map_mask_; map_[pos].slot != kNull;
+       pos = (pos + 1) & map_mask_) {
+    if (map_[pos].tag == tag && arena_[map_[pos].slot].id == id) return map_[pos].slot;
   }
   return kNull;
 }
 
 void BufferCache::map_insert(const PageId& id, std::uint32_t slot) {
-  std::size_t pos = PageIdHash{}(id) & map_mask_;
+  const std::uint32_t tag = tag_of(id);
+  std::size_t pos = tag & map_mask_;
   while (map_[pos].slot != kNull) pos = (pos + 1) & map_mask_;
-  map_[pos].key = id;
-  map_[pos].slot = slot;
+  map_[pos] = Bucket{tag, slot};
 }
 
-void BufferCache::map_erase(const PageId& id) {
-  std::size_t pos = PageIdHash{}(id) & map_mask_;
-  while (!(map_[pos].slot != kNull && map_[pos].key == id)) {
-    pos = (pos + 1) & map_mask_;
-  }
+void BufferCache::map_erase(std::uint32_t slot) {
+  std::size_t hole = tag_of(arena_[slot].id) & map_mask_;
+  while (map_[hole].slot != slot) hole = (hole + 1) & map_mask_;
   // Backward-shift deletion keeps probe sequences unbroken without
   // tombstones: any entry displaced past the hole moves into it.
-  std::size_t hole = pos;
-  std::size_t next = (hole + 1) & map_mask_;
-  while (map_[next].slot != kNull) {
-    const std::size_t home = PageIdHash{}(map_[next].key) & map_mask_;
+  for (std::size_t next = (hole + 1) & map_mask_; map_[next].slot != kNull;
+       next = (next + 1) & map_mask_) {
+    const std::size_t home = map_[next].tag & map_mask_;
     if (((next - home) & map_mask_) >= ((next - hole) & map_mask_)) {
       map_[hole] = map_[next];
       hole = next;
     }
-    next = (next + 1) & map_mask_;
   }
   map_[hole].slot = kNull;
 }
 
 std::uint32_t BufferCache::alloc_slot() {
-  FF_ASSERT(free_head_ != kNull);
+  // Recycled slots first, then the next never-used one; appends stay within
+  // the capacity reserved at construction, so they never reallocate.
+  if (free_head_ == kNull) {
+    FF_ASSERT(arena_.size() < capacity_ + kout_);
+    arena_.emplace_back();
+    return static_cast<std::uint32_t>(arena_.size() - 1);
+  }
   const std::uint32_t s = free_head_;
   free_head_ = arena_[s].next;
   return s;
@@ -265,7 +263,7 @@ void BufferCache::make_room(std::vector<DirtyPage>& flushed) {
     while (a1out_.size > kout_) {
       const std::uint32_t g = a1out_.tail;
       chain_unlink(a1out_, g);
-      map_erase(arena_[g].id);
+      map_erase(g);
       free_slot(g);
     }
   } else {
@@ -276,7 +274,7 @@ void BufferCache::make_room(std::vector<DirtyPage>& flushed) {
       dirty_unlink(victim);
     }
     chain_unlink(am_, victim);
-    map_erase(sl.id);
+    map_erase(victim);
     free_slot(victim);
     ++stats_.evictions;
   }
@@ -322,13 +320,9 @@ void BufferCache::clear() {
   am_ = Chain{};
   a1out_ = Chain{};
   dirty_list_ = Chain{};
-  const std::size_t slots = arena_.size();
-  for (std::size_t i = 0; i < slots; ++i) {
-    arena_[i] = Slot{};
-    arena_[i].next = i + 1 < slots ? static_cast<std::uint32_t>(i + 1) : kNull;
-  }
-  free_head_ = 0;
-  for (auto& e : map_) e.slot = kNull;
+  arena_.clear();  // Keeps the reserved capacity.
+  free_head_ = kNull;
+  for (auto& b : map_) b.slot = kNull;
 }
 
 }  // namespace flexfetch::os

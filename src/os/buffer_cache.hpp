@@ -11,13 +11,14 @@
 // goes to A1in. Dirty state is tracked per page so the write-back substrate
 // can find flush candidates.
 //
-// Storage layout: every page (resident or ghost) lives in one slot of a flat
-// arena sized at construction to capacity + kout. The A1in/Am/A1out queues
-// and the age-ordered dirty list are intrusive doubly-linked chains of slot
-// indices, and a fixed-size open-addressing table maps PageId -> slot. After
-// construction no operation allocates: lookup/fill/write/mark_clean run
-// entirely inside the arena, and evicted dirty pages are appended to a
-// caller-owned scratch buffer.
+// Storage layout: each page (resident or ghost) lives in one slot of an arena
+// reserved for capacity + kout slots and appended to on first use, once the
+// free list of recycled slots is empty. The queues and the age-ordered dirty
+// list are intrusive chains of slot indices. A fixed-size open-addressing
+// table of 8-byte buckets (low 32 hash bits as a tag, plus the slot; a tag
+// match is confirmed against the slot's id) maps PageId -> slot, and is all
+// that construction writes. After that no operation allocates: evicted dirty
+// pages are appended to a caller-owned scratch buffer.
 #pragma once
 
 #include <cstddef>
@@ -112,8 +113,8 @@ class BufferCache {
 
   struct Slot {
     PageId id;
-    std::uint32_t prev = kNull;        ///< Queue chain (or free-list next).
-    std::uint32_t next = kNull;
+    std::uint32_t prev = kNull;        ///< Queue chain.
+    std::uint32_t next = kNull;        ///< Queue chain, or free-list next.
     std::uint32_t dirty_prev = kNull;  ///< Dirty chain, valid iff dirty.
     std::uint32_t dirty_next = kNull;
     Where where = Where::kFree;
@@ -129,8 +130,8 @@ class BufferCache {
     std::size_t size = 0;
   };
 
-  struct MapEntry {
-    PageId key;
+  struct Bucket {
+    std::uint32_t tag = 0;       ///< Low 32 bits of PageIdHash; home = tag & mask.
     std::uint32_t slot = kNull;  ///< kNull = empty bucket.
   };
 
@@ -138,7 +139,7 @@ class BufferCache {
   // construction so it never rehashes.
   std::uint32_t map_find(const PageId& id) const;
   void map_insert(const PageId& id, std::uint32_t slot);
-  void map_erase(const PageId& id);
+  void map_erase(std::uint32_t slot);
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t s);
@@ -159,9 +160,9 @@ class BufferCache {
   std::size_t kin_;
   std::size_t kout_;
 
-  std::vector<Slot> arena_;  ///< capacity_ + kout_ slots, fixed size.
-  std::uint32_t free_head_ = kNull;
-  std::vector<MapEntry> map_;
+  std::vector<Slot> arena_;  ///< Reserved for capacity_ + kout_ slots.
+  std::uint32_t free_head_ = kNull;  ///< Recycled slots only.
+  std::vector<Bucket> map_;
   std::size_t map_mask_ = 0;
 
   Chain a1in_;   ///< head = newest, tail = FIFO eviction end.

@@ -1,5 +1,8 @@
 #include "os/buffer_cache.hpp"
 
+#include <cstddef>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -179,12 +182,35 @@ TEST(BufferCache, RejectsTinyCapacity) {
 }
 
 TEST(BufferCache, RejectsBadFractions) {
-  BufferCacheConfig c;
-  c.kin_fraction = 0.0;
-  EXPECT_THROW(BufferCache{c}, ConfigError);
-  c = BufferCacheConfig{};
-  c.kin_fraction = 1.5;
-  EXPECT_THROW(BufferCache{c}, ConfigError);
+  // Every input is rejected with a ConfigError before any fraction is
+  // converted to an integer (NaN and infinities would be undefined there)
+  // and before the slot count can wrap.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double f : {0.0, 1.0, 1.5, -0.25, kNaN, kInf, -kInf}) {
+    BufferCacheConfig c;
+    c.kin_fraction = f;
+    EXPECT_THROW(BufferCache{c}, ConfigError) << "kin_fraction " << f;
+  }
+  for (const double f : {0.0, -0.5, kNaN, kInf, -kInf, 1e300}) {
+    BufferCacheConfig c;
+    c.kout_fraction = f;
+    EXPECT_THROW(BufferCache{c}, ConfigError) << "kout_fraction " << f;
+  }
+  // capacity + kout beyond 32-bit slot indices, including a sum that
+  // wraps size_t: 2^64 - 100 pages plus ~200 ghosts would be 100 slots.
+  struct Case {
+    std::size_t capacity;
+    double kout_fraction;
+  };
+  for (const Case& k : {Case{std::numeric_limits<std::size_t>::max() - 99, 0x1.9p-57},
+                        Case{0xffffffffu, 0.5}, Case{0xfffffff0u, 0.5},
+                        Case{std::size_t{1} << 33, 1e-12}}) {
+    BufferCacheConfig c;
+    c.capacity_pages = k.capacity;
+    c.kout_fraction = k.kout_fraction;
+    EXPECT_THROW(BufferCache{c}, ConfigError) << "capacity " << k.capacity;
+  }
 }
 
 // --- Edge semantics pinned before the slot-arena rewrite (kept verbatim

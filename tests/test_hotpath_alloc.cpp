@@ -1,5 +1,6 @@
-// Asserts the zero-allocation contract of the arena hot path: once warmed
-// up, BufferCache::lookup/fill/write and CScanScheduler::submit/dispatch
+// Asserts the zero-allocation contract of the arena hot path: after
+// construction (BufferCache, from its first use on) or warm-up (CScan),
+// BufferCache::lookup/fill/write/clear and CScanScheduler::submit/dispatch
 // perform no heap allocation. Global operator new/delete are replaced with
 // counting versions (this test lives in its own binary for that reason).
 #include <cstdint>
@@ -82,6 +83,41 @@ TEST(HotpathAllocation, BufferCacheSteadyStateIsAllocationFree) {
       << " times (hits=" << hits << ")";
 }
 
+TEST(HotpathAllocation, BufferCacheFirstUseIsAllocationFree) {
+  // A fresh cache appends arena slots on first use; every one must come
+  // from the capacity the constructor reserved. Fill from empty past
+  // capacity + kout distinct pages, writes mixed in, so the arena reaches
+  // its full size, the ghost list overflows and freed slots are recycled;
+  // then clear() and fill again.
+  for (const std::size_t capacity : {std::size_t{1024}, BufferCacheConfig{}.capacity_pages}) {
+    BufferCacheConfig config;
+    config.capacity_pages = capacity;
+    const std::uint64_t pages = 2 * (capacity + capacity / 2);
+    std::vector<DirtyPage> flushed;
+    flushed.reserve(pages);
+    BufferCache cache(config);
+
+    const std::uint64_t before = allocation_count();
+    Seconds now = Seconds{0.0};
+    for (int round = 0; round < 2; ++round) {
+      for (std::uint64_t i = 0; i < pages; ++i) {
+        now += Seconds{0.001};
+        const PageId id{1 + i % 3, i};
+        if (!cache.lookup(id, now)) cache.fill(id, now, flushed);
+        if (i % 3 == 0) cache.write(PageId{1, i / 2}, now, flushed);
+        if (i % 5 == 0) cache.mark_clean(PageId{1, i / 4});
+      }
+      EXPECT_EQ(cache.size(), capacity);
+      cache.clear();
+      flushed.clear();
+    }
+    const std::uint64_t after = allocation_count();
+    EXPECT_EQ(after - before, 0u)
+        << "BufferCache (capacity " << capacity << ") allocated " << (after - before)
+        << " times on first use";
+  }
+}
+
 TEST(HotpathAllocation, CScanSteadyStateIsAllocationFree) {
   CScanScheduler sched;
   sched.reserve(256);
@@ -103,7 +139,7 @@ TEST(HotpathAllocation, CScanSteadyStateIsAllocationFree) {
 
 TEST(HotpathAllocation, ConstructionAllocatesOnlyFixedStructures) {
   // Sanity check that the counter works at all: construction must allocate
-  // (the arena and the open-addressing table).
+  // (the reserved arena and the open-addressing table).
   const std::uint64_t before = allocation_count();
   BufferCache cache;
   EXPECT_GT(allocation_count(), before);

@@ -10,6 +10,7 @@
 #include <optional>
 #include <random>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -96,6 +97,16 @@ class Reference2Q {
   std::size_t size() const { return table_.size(); }
   std::size_t dirty_count() const { return dirty_.size(); }
   const CacheStats& stats() const { return stats_; }
+
+  /// Drops every page and ghost; stats survive (as BufferCache::clear).
+  void clear() {
+    a1in_.clear();
+    am_.clear();
+    a1out_.clear();
+    dirty_.clear();
+    table_.clear();
+    ghost_table_.clear();
+  }
 
  private:
   enum class Queue : std::uint8_t { kA1in, kAm };
@@ -266,26 +277,46 @@ bool same_stats(const CacheStats& a, const CacheStats& b) {
          a.evictions == b.evictions;
 }
 
-TEST(HotpathDifferential, ArenaCacheMatchesReferenceOverRandomOps) {
-  BufferCacheConfig config;
-  config.capacity_pages = 64;  // Small capacity => constant eviction churn.
-  config.kin_fraction = 0.25;
-  config.kout_fraction = 0.5;
+/// How often the random op mix calls clear() and compares the full dirty
+/// lists (each a mean number of ops between two calls).
+struct RareOps {
+  int clear_one_in;
+  int dirty_query_one_in;
+};
+
+/// Drives the arena cache and the reference with the same random op mix
+/// over ids PageId{1..inodes, 0..pages-1}, clear() included, and compares
+/// every return value, size and dirty count after every op.
+void expect_random_ops_match(const BufferCacheConfig& config, std::uint64_t inodes,
+                             std::uint64_t pages, int ops, RareOps rare,
+                             std::uint32_t seed) {
   BufferCache arena(config);
   Reference2Q ref(config);
 
-  std::mt19937 rng(0xf1e2d3c4u);
-  std::uniform_int_distribution<std::uint64_t> page(0, 255);
-  std::uniform_int_distribution<std::uint64_t> inode(1, 3);
-  std::uniform_int_distribution<int> op(0, 99);
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<std::uint64_t> page(0, pages - 1);
+  std::uniform_int_distribution<std::uint64_t> inode(1, inodes);
+  std::uniform_int_distribution<int> op(0, 95);
+  std::uniform_int_distribution<int> clear(1, rare.clear_one_in);
+  std::uniform_int_distribution<int> dirty_query(1, rare.dirty_query_one_in);
   Seconds now = Seconds{0.0};
 
-  constexpr int kOps = 150000;
-  for (int i = 0; i < kOps; ++i) {
+  int clears = 0;
+  for (int i = 0; i < ops; ++i) {
     const PageId id{inode(rng), page(rng)};
     now += Seconds{0.001};
     const int o = op(rng);
-    if (o < 35) {  // lookup
+    if (clear(rng) == 1) {
+      arena.clear();
+      ref.clear();
+      ++clears;
+    } else if (dirty_query(rng) == 1) {
+      ASSERT_TRUE(same_dirty(arena.dirty_pages(), ref.dirty_pages()))
+          << "op " << i;
+      ASSERT_TRUE(same_dirty(arena.dirty_pages_older_than(now, Seconds{0.05}),
+                             ref.dirty_pages_older_than(now, Seconds{0.05})))
+          << "op " << i;
+    } else if (o < 35) {  // lookup
       ASSERT_EQ(arena.lookup(id, now), ref.lookup(id, now)) << "op " << i;
     } else if (o < 60) {  // fill
       ASSERT_TRUE(same_dirty(arena.fill(id, now), ref.fill(id, now)))
@@ -296,20 +327,35 @@ TEST(HotpathDifferential, ArenaCacheMatchesReferenceOverRandomOps) {
     } else if (o < 92) {  // mark_clean
       arena.mark_clean(id);
       ref.mark_clean(id);
-    } else if (o < 96) {  // contains
+    } else {  // contains
       ASSERT_EQ(arena.contains(id), ref.contains(id)) << "op " << i;
-    } else {  // dirty queries
-      ASSERT_TRUE(same_dirty(arena.dirty_pages(), ref.dirty_pages()))
-          << "op " << i;
-      ASSERT_TRUE(same_dirty(arena.dirty_pages_older_than(now, Seconds{0.05}),
-                             ref.dirty_pages_older_than(now, Seconds{0.05})))
-          << "op " << i;
     }
     ASSERT_EQ(arena.size(), ref.size()) << "op " << i;
     ASSERT_EQ(arena.dirty_count(), ref.dirty_count()) << "op " << i;
   }
+  EXPECT_GT(clears, 0);
+  EXPECT_GT(arena.stats().evictions, 0u);
   EXPECT_TRUE(same_stats(arena.stats(), ref.stats()));
   EXPECT_TRUE(same_dirty(arena.dirty_pages(), ref.dirty_pages()));
+}
+
+TEST(HotpathDifferential, ArenaCacheMatchesReferenceOverRandomOps) {
+  BufferCacheConfig config;
+  config.capacity_pages = 64;  // Small capacity => constant eviction churn.
+  config.kin_fraction = 0.25;
+  config.kout_fraction = 0.5;
+  expect_random_ops_match(config, 3, 256, 150000,
+                          {.clear_one_in = 5000, .dirty_query_one_in = 25}, 0xf1e2d3c4u);
+}
+
+TEST(HotpathDifferential, ArenaCacheMatchesReferenceAtDefaultCapacity) {
+  // The simulator's default 16,384-page cache, over 40,000 ids: more than
+  // capacity + kout, so the arena grows to full size, ghosts overflow and
+  // freed slots are recycled before and after each clear().
+  const BufferCacheConfig config;
+  ASSERT_LT(config.capacity_pages + config.capacity_pages / 2, 40000u);
+  expect_random_ops_match(config, 2, 20000, 300000,
+                          {.clear_one_in = 120000, .dirty_query_one_in = 2000}, 0x5eed2017u);
 }
 
 TEST(HotpathDifferential, ArenaCacheMatchesReferenceWithOutOfOrderTimestamps) {
@@ -329,6 +375,84 @@ TEST(HotpathDifferential, ArenaCacheMatchesReferenceWithOutOfOrderTimestamps) {
     ASSERT_TRUE(same_dirty(arena.write(id, t), ref.write(id, t))) << "op " << i;
     ASSERT_TRUE(same_dirty(arena.dirty_pages(), ref.dirty_pages())) << "op " << i;
   }
+}
+
+TEST(HotpathDifferential, TagCollidingIdsStayDistinct) {
+  // Two ids whose PageIdHash values share their low 32 bits get equal
+  // bucket tags and the same home bucket, so only the slot's id can tell
+  // them apart. Among 2^18 indices of one file several such pairs exist.
+  std::unordered_map<std::uint32_t, std::uint64_t> first_index;
+  std::optional<std::pair<PageId, PageId>> twins;
+  for (std::uint64_t i = 0; i < (std::uint64_t{1} << 18) && !twins; ++i) {
+    const auto tag = static_cast<std::uint32_t>(PageIdHash{}(PageId{1, i}));
+    if (const auto [it, fresh] = first_index.emplace(tag, i); !fresh) {
+      twins.emplace(PageId{1, it->second}, PageId{1, i});
+    }
+  }
+  ASSERT_TRUE(twins.has_value());
+  const PageId a = twins->first;
+  const PageId b = twins->second;
+  const auto filler = [](std::uint64_t k) { return PageId{2, k}; };
+
+  BufferCacheConfig config;
+  config.capacity_pages = 8;  // kin = 2, kout = 4.
+  BufferCache c(config);
+  std::vector<DirtyPage> flushed;
+
+  // Fill: a resident and dirty, its twin absent; then both resident.
+  c.write(a, Seconds{1.0}, flushed);
+  EXPECT_TRUE(c.contains(a));
+  EXPECT_FALSE(c.contains(b));
+  EXPECT_FALSE(c.lookup(b, Seconds{1.0}));
+  c.fill(b, Seconds{1.0}, flushed);
+  EXPECT_TRUE(c.lookup(a, Seconds{1.0}));
+  EXPECT_TRUE(c.lookup(b, Seconds{1.0}));
+  EXPECT_EQ(c.stats().hits, 2u);
+  EXPECT_EQ(c.stats().ghost_hits, 0u);
+
+  // Ghosting: the seventh filler evicts a, the A1in FIFO tail.
+  for (std::uint64_t k = 0; k < 7; ++k) c.fill(filler(k), Seconds{2.0}, flushed);
+  ASSERT_EQ(flushed.size(), 1u);
+  EXPECT_EQ(flushed[0].page, a);
+  EXPECT_FALSE(c.contains(a));
+  EXPECT_TRUE(c.contains(b));
+  EXPECT_FALSE(c.lookup(a, Seconds{2.0}));
+  EXPECT_EQ(c.stats().ghost_hits, 1u);
+  EXPECT_TRUE(c.lookup(b, Seconds{2.0}));
+
+  // Re-admission: a's ghost goes to Am; making room ghosts b.
+  c.write(a, Seconds{3.0}, flushed);
+  EXPECT_EQ(flushed.size(), 1u);  // b was clean.
+  EXPECT_TRUE(c.contains(a));
+  EXPECT_FALSE(c.contains(b));
+  EXPECT_FALSE(c.lookup(b, Seconds{3.0}));
+  EXPECT_EQ(c.stats().ghost_hits, 2u);
+  c.fill(b, Seconds{4.0}, flushed);  // b's ghost goes to Am too.
+  EXPECT_TRUE(c.lookup(a, Seconds{4.0}));
+  EXPECT_TRUE(c.lookup(b, Seconds{4.0}));  // Am LRU is now a.
+  ASSERT_EQ(c.dirty_pages().size(), 1u);
+  EXPECT_EQ(c.dirty_pages()[0].page, a);
+
+  // Eviction: re-admitting four filler ghosts shrinks A1in to kin, so the
+  // next new page evicts the Am LRU, a, and leaves its twin resident.
+  for (std::uint64_t k = 0; k < 4; ++k) c.fill(filler(k), Seconds{5.0}, flushed);
+  EXPECT_EQ(flushed.size(), 1u);
+  c.fill(filler(100), Seconds{6.0}, flushed);
+  ASSERT_EQ(flushed.size(), 2u);
+  EXPECT_EQ(flushed[1].page, a);
+  EXPECT_EQ(flushed[1].dirtied_at, Seconds{3.0});
+  EXPECT_FALSE(c.contains(a));
+  EXPECT_TRUE(c.contains(b));
+  const auto ghost_hits = c.stats().ghost_hits;
+  EXPECT_FALSE(c.lookup(a, Seconds{6.0}));  // Am evictions leave no ghost.
+  EXPECT_EQ(c.stats().ghost_hits, ghost_hits);
+  EXPECT_TRUE(c.lookup(b, Seconds{6.0}));
+  EXPECT_EQ(c.dirty_count(), 0u);
+
+  // And a comes back as a new page beside its twin.
+  c.fill(a, Seconds{7.0}, flushed);
+  EXPECT_TRUE(c.contains(a));
+  EXPECT_TRUE(c.contains(b));
 }
 
 TEST(HotpathDifferential, FlatCScanMatchesReferenceOverRandomOps) {
