@@ -44,21 +44,6 @@ using namespace flexfetch;
 
 namespace {
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) {
-      out.push_back(s.substr(pos));
-      break;
-    }
-    out.push_back(s.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 struct Cell {
   int clients = 1;
   std::string admission;
@@ -378,7 +363,7 @@ int run(int argc, char** argv) {
 
   std::vector<int> clients_axis;
   int n_max = 0;
-  for (const std::string& s : split_csv(clients_csv)) {
+  for (const std::string& s : bench::split_csv(clients_csv)) {
     const int n = std::atoi(s.c_str());
     if (n <= 0) {
       std::fprintf(stderr, "bad --clients entry '%s'\n", s.c_str());
@@ -387,8 +372,8 @@ int run(int argc, char** argv) {
     clients_axis.push_back(n);
     n_max = std::max(n_max, n);
   }
-  const std::vector<std::string> policy_names = split_csv(policies_csv);
-  const std::vector<std::string> admissions = split_csv(admissions_csv);
+  const std::vector<std::string> policy_names = bench::split_csv(policies_csv);
+  const std::vector<std::string> admissions = bench::split_csv(admissions_csv);
 
   // One read-only bundle per client slot, shared by every cell: client i
   // always replays scenario i mod 5 seeded with seed + i, so a cell's

@@ -49,27 +49,6 @@ using namespace flexfetch;
 
 namespace {
 
-double wall_seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) {
-      out.push_back(s.substr(pos));
-      break;
-    }
-    out.push_back(s.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 struct FleetFlags {
   std::uint64_t users = 1000;
   int block_size = 0;  // 0 = FleetConfig default
@@ -90,7 +69,7 @@ fleet::FleetConfig config_from(const FleetFlags& f) {
   config.population.master_seed = f.seed;
   config.population.scenario_seed = f.seed;
   if (!f.policies_csv.empty()) {
-    config.population.policies = split_csv(f.policies_csv);
+    config.population.policies = bench::split_csv(f.policies_csv);
   }
   config.users = f.users;
   if (f.block_size > 0) {
@@ -163,7 +142,7 @@ int run_worker(const FleetFlags& f) {
 
   fleet::ShardMeta meta;
   meta.shard = f.worker_shard;
-  meta.wall_seconds = wall_seconds_since(t0);
+  meta.wall_seconds = bench::wall_seconds_since(t0);
   meta.peak_rss_bytes = bench::peak_rss_bytes();
   meta.users = stats.users;
   meta.blocks = stats.blocks;
@@ -255,7 +234,7 @@ int run_parent(const FleetFlags& f) {
     const auto t0 = std::chrono::steady_clock::now();
     const sim::SweepAggregator mono =
         fleet::run_monolithic(config, gen, catalog);
-    baseline_wall = wall_seconds_since(t0);
+    baseline_wall = bench::wall_seconds_since(t0);
     baseline_fp = fleet::fingerprint(mono);
     std::printf("baseline (1 process): %.2f s, %.0f users/s\n", baseline_wall,
                 static_cast<double>(config.users) / baseline_wall);
@@ -269,7 +248,7 @@ int run_parent(const FleetFlags& f) {
   }
   const auto t1 = std::chrono::steady_clock::now();
   const auto results = fleet::run_processes(argvs);
-  const double wall = wall_seconds_since(t1);
+  const double wall = bench::wall_seconds_since(t1);
   for (int w = 0; w < config.workers; ++w) {
     const auto& r = results[static_cast<std::size_t>(w)];
     if (!r.ok()) {

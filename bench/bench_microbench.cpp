@@ -284,11 +284,6 @@ struct HotpathBefore {
   double cell_syscalls_per_sec = 522579;
 };
 
-double secs_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// Measures the current hot paths with the pre-rewrite workload loops and
 /// writes before/after/speedup tuples to `out_path`.
 int record_hotpath(const std::string& out_path) {
@@ -309,7 +304,7 @@ int record_hotpath(const std::string& out_path) {
     for (std::uint64_t i = 2048; i < kOps; ++i) {
       cache.fill(os::PageId{1, i}, Seconds{0.0}, flushed);
     }
-    fill_evict_mops = static_cast<double>(kOps - 2048) / secs_since(t0) / 1e6;
+    fill_evict_mops = static_cast<double>(kOps - 2048) / bench::wall_seconds_since(t0) / 1e6;
   }
 
   // 2. 2Q lookup hit.
@@ -323,7 +318,7 @@ int record_hotpath(const std::string& out_path) {
     for (std::uint64_t i = 0; i < kOps; ++i) {
       hits += cache.lookup(os::PageId{1, i % 1000}, Seconds{0.0}) ? 1u : 0u;
     }
-    const double s = secs_since(t0);
+    const double s = bench::wall_seconds_since(t0);
     benchmark::DoNotOptimize(hits);
     lookup_hit_mops = static_cast<double>(kOps) / s / 1e6;
   }
@@ -344,7 +339,7 @@ int record_hotpath(const std::string& out_path) {
     }
     while (sched.dispatch()) {
     }
-    cscan_mops = static_cast<double>(kOps) / secs_since(t0) / 1e6;
+    cscan_mops = static_cast<double>(kOps) / bench::wall_seconds_since(t0) / 1e6;
   }
 
   // 4. Full simulation, grep / disk-only (min of 5).
@@ -357,7 +352,7 @@ int record_hotpath(const std::string& out_path) {
       policies::DiskOnlyPolicy policy;
       const auto t0 = Clock::now();
       const auto res = sim::simulate(sim::SimConfig{}, trace, policy);
-      best = std::min(best, secs_since(t0));
+      best = std::min(best, bench::wall_seconds_since(t0));
       full_sim_syscalls = res.syscalls;
     }
     full_sim_ms = best * 1e3;
@@ -383,7 +378,7 @@ int record_hotpath(const std::string& out_path) {
         for (int r = 0; r < 3; ++r) {
           const auto t0 = Clock::now();
           syscalls = sim::run_cell(cell).syscalls;
-          best = std::min(best, secs_since(t0));
+          best = std::min(best, bench::wall_seconds_since(t0));
         }
         total_best += best;
         total_syscalls += syscalls;

@@ -48,28 +48,6 @@ using namespace flexfetch;
 
 namespace {
 
-double wall_seconds_since(
-    std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) {
-      out.push_back(s.substr(pos));
-      break;
-    }
-    out.push_back(s.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 /// Field-by-field equality over everything the JSON emitter records.
 bool results_identical(const sim::SimResult& a, const sim::SimResult& b) {
   return a.policy == b.policy && a.makespan == b.makespan &&
@@ -118,7 +96,7 @@ int run(int argc, char** argv) {
   flags.add("aggregate-out", &aggregate_out, "FILE");
   flags.add("cells", &cells_mode, "on|off");
   flags.parse(argc, argv);
-  if (!policies_csv.empty()) policy_names = split_csv(policies_csv);
+  if (!policies_csv.empty()) policy_names = bench::split_csv(policies_csv);
   if (cells_mode != "on" && cells_mode != "off") {
     std::fprintf(stderr, "bench_sweep: --cells takes 'on' or 'off'\n");
     return 2;
@@ -190,7 +168,7 @@ int run(int argc, char** argv) {
           [&](std::size_t, const sim::SweepCell&, sim::SimResult&& result) {
             serial_digest = sim::fold_result_digest(serial_digest, result);
           });
-      info.serial_wall_seconds = wall_seconds_since(t0);
+      info.serial_wall_seconds = bench::wall_seconds_since(t0);
       std::printf("serial  (jobs=1): %.2f s\n", info.serial_wall_seconds);
     }
 
@@ -203,7 +181,7 @@ int run(int argc, char** argv) {
           digest = sim::fold_result_digest(digest, result);
           aggregator.add(cell, result);
         });
-    info.wall_seconds = wall_seconds_since(t1);
+    info.wall_seconds = bench::wall_seconds_since(t1);
     std::printf("parallel (jobs=%d): %.2f s", jobs, info.wall_seconds);
     if (run_serial_baseline) std::printf("  speedup=%.2fx", info.speedup());
     std::printf("\n");
@@ -250,7 +228,7 @@ int run(int argc, char** argv) {
   if (run_serial_baseline) {
     const auto t0 = std::chrono::steady_clock::now();
     serial = sim::run_sweep(cells, {.jobs = 1});
-    info.serial_wall_seconds = wall_seconds_since(t0);
+    info.serial_wall_seconds = bench::wall_seconds_since(t0);
     std::printf("serial  (jobs=1): %.2f s\n", info.serial_wall_seconds);
   }
 
@@ -274,7 +252,7 @@ int run(int argc, char** argv) {
         aggregator.add(cell, result);
         parallel[i] = std::move(result);
       });
-  info.wall_seconds = wall_seconds_since(t1);
+  info.wall_seconds = bench::wall_seconds_since(t1);
   std::printf("parallel (jobs=%d): %.2f s", jobs, info.wall_seconds);
   if (run_serial_baseline) std::printf("  speedup=%.2fx", info.speedup());
   std::printf("\n");

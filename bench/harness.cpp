@@ -2,6 +2,7 @@
 
 #include <sys/resource.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,18 +26,18 @@ sim::SimResult run_once(const workloads::ScenarioBundle& scenario,
   return sim::run_cell(cell);
 }
 
-void print_table_header(const std::string& axis,
-                        const std::vector<std::string>& columns) {
-  std::printf("%-14s", axis.c_str());
-  for (const auto& c : columns) std::printf(" %14s", c.c_str());
-  std::printf("\n");
+namespace {
+
+/// Reads the whole token as a T within T's range; from_chars takes no '+',
+/// and no '-' for an unsigned T.
+template <typename T>
+bool parse_number(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
-void print_table_row(double axis_value, const std::vector<double>& cells) {
-  std::printf("%-14.2f", axis_value);
-  for (const double v : cells) std::printf(" %14.1f", v);
-  std::printf("\n");
-}
+}  // namespace
 
 void ParsedFlags::add(std::string name, bool* target) {
   flags_.push_back(
@@ -78,9 +79,9 @@ void ParsedFlags::print_flag_list(std::FILE* to) const {
   std::fprintf(to, "  --benchmark_*   (passed through to google-benchmark)\n");
 }
 
-void ParsedFlags::usage_and_exit(const char* argv0,
-                                 const char* offending) const {
-  std::fprintf(stderr, "%s: unknown argument '%s'\n", argv0, offending);
+void ParsedFlags::usage_and_exit(const char* argv0, const char* problem,
+                                 const char* arg) const {
+  std::fprintf(stderr, "%s: %s '%s'\n", argv0, problem, arg);
   print_flag_list(stderr);
   std::exit(2);
 }
@@ -115,7 +116,7 @@ void ParsedFlags::parse(int& argc, char** argv) const {
         argv[out++] = argv[i];  // Left for google-benchmark to parse.
         continue;
       }
-      usage_and_exit(argv[0], a);
+      usage_and_exit(argv[0], "unknown argument", a);
     }
     if (matched->bool_target != nullptr) {
       *matched->bool_target = true;
@@ -123,36 +124,38 @@ void ParsedFlags::parse(int& argc, char** argv) const {
     }
     const char* value = inline_value;
     if (value == nullptr) {
-      if (i + 1 >= argc) usage_and_exit(argv[0], a);
+      if (i + 1 >= argc) usage_and_exit(argv[0], "missing value for", a);
       value = argv[++i];
     }
+    bool ok = true;
     if (matched->int_target != nullptr) {
-      *matched->int_target = std::atoi(value);
+      ok = parse_number(value, *matched->int_target);
     } else if (matched->u64_target != nullptr) {
-      *matched->u64_target = std::strtoull(value, nullptr, 10);
+      ok = parse_number(value, *matched->u64_target);
     } else {
       *matched->string_target = value;
     }
+    if (!ok) usage_and_exit(argv[0], ("bad number for " + matched->name).c_str(), value);
   }
   argc = out;
   argv[argc] = nullptr;
 }
 
-HarnessOptions parse_harness_flags(int& argc, char** argv,
-                                   bool telemetry_flags) {
-  HarnessOptions opts;
-  ParsedFlags flags;
-  flags.add("jobs", &opts.jobs, "N");
-  flags.add("fault-seed", &opts.fault_seed, "S");
-  if (telemetry_flags) {
-    flags.add("metrics", &opts.metrics);
-    flags.add("trace-out", &opts.trace_out, "FILE");
-  }
-  flags.parse(argc, argv);
-  return opts;
+namespace {
+
+/// Prints one header + one row per sweep point.
+void print_table_header(const std::string& axis,
+                        const std::vector<std::string>& columns) {
+  std::printf("%-14s", axis.c_str());
+  for (const auto& c : columns) std::printf(" %14s", c.c_str());
+  std::printf("\n");
 }
 
-namespace {
+void print_table_row(double axis_value, const std::vector<double>& cells) {
+  std::printf("%-14.2f", axis_value);
+  for (const double v : cells) std::printf(" %14.1f", v);
+  std::printf("\n");
+}
 
 std::vector<std::string> display_names(const std::vector<std::string>& names) {
   std::vector<std::string> out;
@@ -290,6 +293,27 @@ void print_figure(const std::string& figure_label,
                   spec.trace_out.c_str());
     }
   }
+}
+
+std::vector<std::string> split_csv(const std::string& s) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos <= s.size()) {
+    const std::size_t comma = s.find(',', pos);
+    if (comma == std::string::npos) {
+      out.push_back(s.substr(pos));
+      break;
+    }
+    out.push_back(s.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  return out;
+}
+
+double wall_seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 std::uint64_t peak_rss_bytes() {

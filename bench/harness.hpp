@@ -1,9 +1,11 @@
-// Shared harness for the per-figure benchmark binaries: runs policy sweeps
-// over WNIC latency and bandwidth and prints the paper-style series. The
-// grid is fanned out across worker threads by the sweep engine
-// (sim/sweep.hpp); results are deterministic and printed in grid order.
+// Shared harness for the bench binaries: runs the paper's policy sweeps over
+// WNIC latency and bandwidth and prints the paper-style series, and parses
+// command-line flags. The grid is fanned out across worker threads by the
+// sweep engine (sim/sweep.hpp); results are deterministic and printed in
+// grid order.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -54,16 +56,13 @@ void print_figure(const std::string& figure_label,
                   const workloads::ScenarioBundle& scenario,
                   const SweepSpec& spec);
 
-/// Prints one header + one row per sweep point; helper for ablations.
-void print_table_header(const std::string& axis,
-                        const std::vector<std::string>& columns);
-void print_table_row(double axis_value, const std::vector<double>& cells);
-
 /// Declarative command-line flag table. Each bench binary registers the
 /// flags it understands (`add`), then calls `parse` once: recognised flags
 /// are stripped from argv, `--benchmark_*` flags are left in place for
 /// google-benchmark, and anything else prints a generated usage message and
-/// exits with status 2 — unknown flags are never silently ignored. Adding a
+/// exits with status 2 — unknown flags are never silently ignored. So does a
+/// numeric value that is not a whole in-range number (`--jobs abc`,
+/// `--fault-seed 7x`, `--fault-seed -1`, `--users 1e5`). Adding a
 /// new flag (e.g. `--hotpath-out`) is one `add` call; spelling variants
 /// (`--flag VALUE` and `--flag=VALUE`), the per-flag usage listing that an
 /// unknown argument triggers, and `--help`/`-h` all come for free.
@@ -94,10 +93,16 @@ class ParsedFlags {
   /// One line per registered flag, plus --help and the --benchmark_*
   /// pass-through.
   void print_flag_list(std::FILE* to) const;
-  [[noreturn]] void usage_and_exit(const char* argv0,
-                                   const char* offending) const;
+  [[noreturn]] void usage_and_exit(const char* argv0, const char* problem,
+                                   const char* arg) const;
   std::vector<Flag> flags_;
 };
+
+/// Splits a comma-separated flag value ("a,b,c"); "" gives one empty field.
+std::vector<std::string> split_csv(const std::string& s);
+
+/// Host wall-clock seconds since `start`, for the benches' timing fields.
+double wall_seconds_since(std::chrono::steady_clock::time_point start);
 
 /// Peak resident set size of this process so far, in bytes (getrusage
 /// ru_maxrss). Benches record it into their JSON artifacts so
@@ -105,23 +110,5 @@ class ParsedFlags {
 /// from the record. Lives in bench/, not src/: it is a host measurement,
 /// like wall clocks.
 std::uint64_t peak_rss_bytes();
-
-/// Flags shared by the bench binaries, parsed by parse_harness_flags.
-struct HarnessOptions {
-  int jobs = 0;
-  bool metrics = false;
-  std::string trace_out;
-  std::uint64_t fault_seed = 0;
-};
-
-/// Parses and strips the harness flags from argv via ParsedFlags:
-///   --jobs N        sweep worker threads
-///   --metrics       per-cell telemetry metrics + merged summary
-///   --trace-out F   Chrome trace of the first sweep cell (telemetry_flags)
-///   --fault-seed S  inject the fault schedule generated from seed S
-/// Binaries without a telemetry surface pass telemetry_flags = false so
-/// --metrics/--trace-out are rejected too.
-HarnessOptions parse_harness_flags(int& argc, char** argv,
-                                   bool telemetry_flags = true);
 
 }  // namespace flexfetch::bench

@@ -55,16 +55,11 @@ SimResult run_cell(const SweepCell& cell) {
 std::vector<SimResult> run_sweep(const std::vector<SweepCell>& cells,
                                  const SweepOptions& options) {
   std::vector<SimResult> results(cells.size());
-  const int jobs = resolve_jobs(options.jobs);
-  if (jobs <= 1 || cells.size() <= 1) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      results[i] = run_cell(cells[i]);
-    }
-    return results;
-  }
-  ThreadPool pool(static_cast<unsigned>(jobs));
-  parallel_for(pool, cells.size(),
-               [&](std::size_t i) { results[i] = run_cell(cells[i]); });
+  run_sweep_streaming(cells, options,
+                      [&results](std::size_t i, const SweepCell&,
+                                 SimResult&& result) {
+                        results[i] = std::move(result);
+                      });
   return results;
 }
 

@@ -77,8 +77,9 @@ JobsResolution resolve_jobs_detail(int requested);
 SimResult run_cell(const SweepCell& cell);
 
 /// Runs every cell and returns results in grid order (results[i] is
-/// cells[i]). Cells fan out across resolve_jobs(options.jobs) workers;
-/// the first cell failure is rethrown after in-flight cells finish.
+/// cells[i]): run_sweep_streaming with a sink that collects every result.
+/// Cells fan out across resolve_jobs(options.jobs) workers; the first cell
+/// failure is rethrown after in-flight cells finish.
 std::vector<SimResult> run_sweep(const std::vector<SweepCell>& cells,
                                  const SweepOptions& options = {});
 
