@@ -26,7 +26,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -364,10 +363,9 @@ int run(int argc, char** argv) {
   std::vector<int> clients_axis;
   int n_max = 0;
   for (const std::string& s : bench::split_csv(clients_csv)) {
-    const int n = std::atoi(s.c_str());
-    if (n <= 0) {
-      std::fprintf(stderr, "bad --clients entry '%s'\n", s.c_str());
-      return 2;
+    int n = 0;
+    if (!bench::parse_number(s, n) || n <= 0) {
+      flags.usage_and_exit(argv[0], "bad --clients entry", s.c_str());
     }
     clients_axis.push_back(n);
     n_max = std::max(n_max, n);

@@ -29,8 +29,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -55,7 +55,8 @@ struct FleetFlags {
   int workers = 2;
   std::uint64_t seed = 1;
   std::string policies_csv;
-  std::string workload_scale;  // parsed as double; string keeps flags simple
+  /// Kept as typed so a worker's argv repeats it exactly; main() checks it.
+  std::string workload_scale;
   bool telemetry = false;
   std::string checkpoint_dir = "BENCH_fleet.ckpt";
   bool resume = false;
@@ -78,7 +79,7 @@ fleet::FleetConfig config_from(const FleetFlags& f) {
   config.workers = f.workers;
   config.telemetry = f.telemetry;
   if (!f.workload_scale.empty()) {
-    config.tuning.workload_scale = std::atof(f.workload_scale.c_str());
+    bench::parse_number(f.workload_scale, config.tuning.workload_scale);
   }
   return config;
 }
@@ -316,6 +317,13 @@ int main(int argc, char** argv) {
     flags.add("out", &f.out_path, "FILE");
     flags.add("worker-shard", &f.worker_shard, "K");
     flags.parse(argc, argv);
+    double scale = 1.0;
+    if (!f.workload_scale.empty() &&
+        !(bench::parse_number(f.workload_scale, scale) && std::isfinite(scale) &&
+          scale > 0.0)) {
+      flags.usage_and_exit(argv[0], "bad number for --workload-scale",
+                           f.workload_scale.c_str());
+    }
     return f.worker_shard >= 0 ? run_worker(f) : run_parent(f);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_fleet: %s\n", e.what());

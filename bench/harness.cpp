@@ -2,7 +2,6 @@
 
 #include <sys/resource.h>
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,19 +24,6 @@ sim::SimResult run_once(const workloads::ScenarioBundle& scenario,
   cell.wnic = wnic;
   return sim::run_cell(cell);
 }
-
-namespace {
-
-/// Reads the whole token as a T within T's range; from_chars takes no '+',
-/// and no '-' for an unsigned T.
-template <typename T>
-bool parse_number(const char* text, T& out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, out);
-  return ec == std::errc{} && ptr == end;
-}
-
-}  // namespace
 
 void ParsedFlags::add(std::string name, bool* target) {
   flags_.push_back(

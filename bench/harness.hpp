@@ -5,10 +5,13 @@
 // grid order.
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -81,6 +84,11 @@ class ParsedFlags {
   /// `--benchmark_*` flags (argc updated to match).
   void parse(int& argc, char** argv) const;
 
+  /// Prints "<argv0>: <problem> '<arg>'" and the flag list to stderr, then
+  /// exits with status 2 — for values a bench checks after parse().
+  [[noreturn]] void usage_and_exit(const char* argv0, const char* problem,
+                                   const char* arg) const;
+
  private:
   struct Flag {
     std::string name;           // Including the leading "--".
@@ -93,10 +101,19 @@ class ParsedFlags {
   /// One line per registered flag, plus --help and the --benchmark_*
   /// pass-through.
   void print_flag_list(std::FILE* to) const;
-  [[noreturn]] void usage_and_exit(const char* argv0, const char* problem,
-                                   const char* arg) const;
   std::vector<Flag> flags_;
 };
+
+/// Reads the whole of `text` as a T within T's range (std::from_chars: no
+/// whitespace, no '+', and no '-' for an unsigned T). A double may still
+/// come out infinite or NaN ("inf", "nan"); callers that need a finite
+/// value check for it.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
 
 /// Splits a comma-separated flag value ("a,b,c"); "" gives one empty field.
 std::vector<std::string> split_csv(const std::string& s);

@@ -134,7 +134,7 @@ constexpr tele::EventDesc kLossRate{.name = "ff.loss_rate",
 
 FlexFetchPolicy::FlexFetchPolicy(FlexFetchConfig config, Profile profile)
     : config_(config), old_profile_(std::move(profile)) {
-  FF_REQUIRE(config.loss_rate >= 0.0, "flexfetch: negative loss rate");
+  FF_REQUIRE(config.loss_curve != nullptr, "flexfetch: null loss curve");
   FF_REQUIRE(config.stage_min_length > Seconds{}, "flexfetch: non-positive stage length");
 }
 
@@ -146,14 +146,14 @@ std::string FlexFetchPolicy::name() const {
   const bool is_static = !config_.adapt_splice && !config_.adapt_stage_audit &&
                          !config_.adapt_cache_filter && !config_.adapt_free_rider;
   std::string n = is_static ? "FlexFetch-static" : "FlexFetch";
-  if (config_.loss_curve != nullptr) {
+  // A constant curve is the paper's fixed rate: plain FlexFetch.
+  if (dynamic_cast<const energy::ConstantCurve*>(config_.loss_curve.get()) == nullptr) {
     n += "-adaptive(" + config_.loss_curve->name() + ")";
   }
   return n;
 }
 
 double FlexFetchPolicy::current_loss_rate(sim::SimContext& ctx) const {
-  if (config_.loss_curve == nullptr) return config_.loss_rate;
   // No tracker (a context built outside a Simulator): a default
   // BatteryState — full charge, on battery — is the conservative read.
   const energy::BatteryState state = ctx.battery() != nullptr

@@ -35,17 +35,15 @@
 namespace flexfetch::core {
 
 struct FlexFetchConfig {
-  /// Maximum tolerable I/O performance loss rate (paper uses 25 %).
-  /// The static fallback: consulted only when no loss_curve is set.
-  double loss_rate = 0.25;
-  /// Battery-adaptive loss rate (ROADMAP item 2): when set, every
-  /// decision-rule evaluation queries this curve with the simulator's
-  /// tracked BatteryState instead of reading the static knob — spending
-  /// performance freely on wall power, aggressively near empty. Shared,
-  /// stateless and const: copies of the config are cheap and decisions
-  /// stay pure. `energy::make_loss_curve("constant@0.25")` reproduces the
-  /// static policy bit-for-bit (gated in bench_battery).
-  std::shared_ptr<const energy::LossRateCurve> loss_curve;
+  /// Maximum tolerable I/O performance loss rate, as a function of the
+  /// simulator's tracked BatteryState. Every decision-rule evaluation
+  /// samples it; there is no other loss-rate path. The default is the
+  /// paper's fixed 25 %; battery-adaptive curves spend performance freely
+  /// on wall power and aggressively near empty. Shared, stateless and
+  /// const: copies of the config are cheap and decisions stay pure. Must
+  /// not be null (the policy constructor throws ConfigError).
+  std::shared_ptr<const energy::LossRateCurve> loss_curve =
+      std::make_shared<const energy::ConstantCurve>(0.25);
   /// Minimal profiled span of an evaluation stage (paper uses 40 s).
   Seconds stage_min_length = Seconds{40.0};
   /// I/O burst threshold; <= 0 derives it from the disk's average access
@@ -107,8 +105,8 @@ struct DecisionRecord {
   std::size_t burst_count = 0;
   Estimate disk;
   Estimate network;
-  /// The loss rate this evaluation actually used (curve-sampled or the
-  /// static knob) — pins adaptive behaviour in tests and sweep deltas.
+  /// The loss rate this evaluation sampled from the curve — pins
+  /// adaptive behaviour in tests and sweep deltas.
   double loss_rate = 0.0;
   device::DeviceKind decision = device::DeviceKind::kDisk;
 };
@@ -182,7 +180,7 @@ class FlexFetchPolicy : public sim::Policy {
   }
 
   /// The loss rate the next decision would use: the curve sampled at the
-  /// current battery state, or the static knob when no curve is set.
+  /// current battery state.
   double current_loss_rate(sim::SimContext& ctx) const;
 
  private:
@@ -253,7 +251,7 @@ class FlexFetchPolicy : public sim::Policy {
   FlexFetchStats stats_;
   std::vector<DecisionRecord> decision_log_;
   /// Loss rates actually used by decisions (ff.loss_rate in metrics) —
-  /// constant for the static knob, battery-shaped for adaptive curves.
+  /// one value for a constant curve, battery-shaped for adaptive ones.
   telemetry::Histogram loss_rate_hist_;
 };
 

@@ -1,7 +1,9 @@
 #include "energy/loss_curve.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -20,7 +22,8 @@ std::string num(double v) {
 }
 
 void require_rate(double r, const char* what) {
-  FF_REQUIRE(r >= 0.0, std::string("loss curve: negative ") + what);
+  FF_REQUIRE(std::isfinite(r) && r >= 0.0,
+             std::string("loss curve: ") + what + " must be finite and >= 0");
 }
 
 }  // namespace
@@ -30,8 +33,8 @@ ConstantCurve::ConstantCurve(double rate) : rate_(rate) {
 }
 
 double ConstantCurve::loss_rate(const BatteryState& /*state*/) const {
-  // Deliberately state-blind, wall power included: this is the frozen
-  // static baseline the degeneracy gate compares against.
+  // Deliberately state-blind, wall power included: this is the paper's
+  // fixed rate, the one every plain "flexfetch" policy samples.
   return rate_;
 }
 
@@ -79,8 +82,9 @@ HorizonRatioCurve::HorizonRatioCurve(Seconds reference_horizon,
     : reference_horizon_(reference_horizon),
       rate_full_(rate_full),
       rate_empty_(rate_empty) {
-  FF_REQUIRE(reference_horizon_ > Seconds{},
-             "loss curve: reference horizon must be positive");
+  FF_REQUIRE(std::isfinite(reference_horizon_.value()) &&
+                 reference_horizon_ > Seconds{},
+             "loss curve: reference horizon must be finite and positive");
   require_rate(rate_full_, "full-battery rate");
   require_rate(rate_empty_, "empty-battery rate");
 }
@@ -103,24 +107,25 @@ std::string HorizonRatioCurve::name() const {
 
 namespace {
 
-/// Splits "p1:p2:p3" into doubles; throws ConfigError on junk.
-std::vector<double> parse_params(const std::string& text,
+/// Splits "p1:p2:p3" into doubles. Each token must be one whole, finite
+/// number in double's range as std::from_chars reads it (no whitespace,
+/// '+', hex or underflow to zero); throws ConfigError otherwise.
+std::vector<double> parse_params(std::string_view text,
                                  const std::string& spec) {
   std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t colon = text.find(':', pos);
-    const std::string tok =
-        text.substr(pos, colon == std::string::npos ? colon : colon - pos);
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    FF_REQUIRE(!tok.empty() && end != nullptr && *end == '\0',
-               "loss curve: bad parameter '" + tok + "' in '" + spec + "'");
+  while (true) {
+    const std::size_t colon = text.find(':');
+    const std::string_view tok = text.substr(0, colon);
+    double v = 0.0;
+    const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    FF_REQUIRE(ec == std::errc{} && end == tok.data() + tok.size() &&
+                   std::isfinite(v),
+               "loss curve: bad parameter '" + std::string(tok) + "' in '" +
+                   spec + "'");
     out.push_back(v);
-    if (colon == std::string::npos) break;
-    pos = colon + 1;
+    if (colon == std::string_view::npos) return out;
+    text.remove_prefix(colon + 1);
   }
-  return out;
 }
 
 void require_arity(const std::vector<double>& p,
@@ -139,7 +144,9 @@ std::unique_ptr<LossRateCurve> make_loss_curve(const std::string& spec,
   const std::size_t at = spec.find('@');
   const std::string kind = spec.substr(0, at);
   std::vector<double> p;
-  if (at != std::string::npos) p = parse_params(spec.substr(at + 1), spec);
+  if (at != std::string::npos) {
+    p = parse_params(std::string_view(spec).substr(at + 1), spec);
+  }
 
   if (kind == "constant") {
     require_arity(p, {0, 1}, spec);

@@ -6,9 +6,10 @@
 // (battery.hpp), in the shape of eh-sim's pluggable `eh_scheme`: one
 // virtual query per decision, implementations are tiny value types.
 //
-//   constant@R          — always R. The degeneracy baseline: FlexFetch
-//                         with `constant@0.25` is bit-identical to the
-//                         static 25% knob (gated in bench_battery + CI).
+//   constant@R          — always R. The paper's fixed rate: every plain
+//                         "flexfetch" policy samples `constant@0.25`
+//                         (or its cell's loss_rate), so FlexFetch has one
+//                         loss-rate path.
 //   linear[@F:E]        — F + (E - F) * (1 - fraction). The fleet's
 //                         PopulationGenerator::loss_rate_for interpolation,
 //                         promoted to a first-class curve (the fleet now
@@ -102,7 +103,8 @@ inline constexpr double kDefaultReferenceHorizonS = 1800.0;
 /// Parses a curve spec: "<kind>[@p1[:p2[:p3]]]" with the kinds documented
 /// above. A bare "constant" uses `fallback_rate` (the sweep cell's
 /// loss_rate knob); every other kind has the defaults listed above.
-/// Throws ConfigError on unknown kinds, malformed numbers, or
+/// Each parameter is one whole finite decimal number. Throws ConfigError
+/// on unknown kinds, malformed, infinite or out-of-range numbers, or
 /// out-of-range parameters.
 std::unique_ptr<LossRateCurve> make_loss_curve(const std::string& spec,
                                                double fallback_rate = 0.25);

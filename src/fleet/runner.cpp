@@ -33,7 +33,9 @@ sim::SweepCell cell_for(const UserParams& u, const PopulationGenerator& gen,
   cell.config.layout_seed = u.stream_seed;
   // An incomplete hoard invalidates the paper's no-sync idealisation:
   // those users pay for replica synchronization traffic.
-  cell.config.enable_sync = u.hoard_coverage < spec.sync_coverage_threshold;
+  if (u.hoard_coverage < spec.sync_coverage_threshold) {
+    cell.config.sync.emplace();
+  }
   if (u.fault_seed != 0) {
     cell.config.faults = faults::generate_schedule(u.fault_seed);
   }

@@ -14,25 +14,22 @@ std::unique_ptr<sim::Policy> make_policy(const std::string& name,
   if (name == "disk-only") return std::make_unique<DiskOnlyPolicy>();
   if (name == "wnic-only") return std::make_unique<WnicOnlyPolicy>();
   if (name == "bluefs") return std::make_unique<BlueFSPolicy>();
-  if (name == "flexfetch" || name == "flexfetch-static") {
-    FF_REQUIRE(!profiles.empty(), "make_policy: FlexFetch needs profiles");
-    core::FlexFetchConfig config = name == "flexfetch"
-                                       ? core::FlexFetchConfig{}
-                                       : core::FlexFetchConfig::static_variant();
-    config.loss_rate = loss_rate;
-    return std::make_unique<core::FlexFetchPolicy>(config, profiles);
-  }
-  // Battery-adaptive FlexFetch: "flexfetch-adaptive:<curve-spec>", where
-  // the spec is anything energy::make_loss_curve accepts ("linear",
-  // "constant@0.25", "horizon-ratio@1800:0.05:0.5", ...). The static
-  // `loss_rate` argument doubles as the fallback rate for bare "constant".
+  // FlexFetch samples a loss-rate curve on every decision. The plain names
+  // use the constant `loss_rate`; "flexfetch-adaptive:<curve-spec>" takes
+  // anything energy::make_loss_curve accepts ("linear", "constant@0.25",
+  // "horizon-ratio@1800:0.05:0.5", ...), with `loss_rate` as the fallback
+  // rate for a bare "constant".
   constexpr std::string_view kAdaptivePrefix = "flexfetch-adaptive:";
-  if (name.rfind(kAdaptivePrefix, 0) == 0) {
+  const bool adaptive = name.rfind(kAdaptivePrefix, 0) == 0;
+  if (adaptive || name == "flexfetch" || name == "flexfetch-static") {
     FF_REQUIRE(!profiles.empty(), "make_policy: FlexFetch needs profiles");
-    core::FlexFetchConfig config;
-    config.loss_rate = loss_rate;
-    config.loss_curve = energy::make_loss_curve(
-        name.substr(kAdaptivePrefix.size()), loss_rate);
+    core::FlexFetchConfig config = name == "flexfetch-static"
+                                       ? core::FlexFetchConfig::static_variant()
+                                       : core::FlexFetchConfig{};
+    config.loss_curve =
+        adaptive ? energy::make_loss_curve(
+                       name.substr(kAdaptivePrefix.size()), loss_rate)
+                 : std::make_unique<energy::ConstantCurve>(loss_rate);
     return std::make_unique<core::FlexFetchPolicy>(config, profiles);
   }
   if (name == "oracle") {

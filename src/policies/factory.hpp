@@ -16,12 +16,15 @@ namespace flexfetch::policies {
 /// Builds one of: "disk-only", "wnic-only", "bluefs", "flexfetch",
 /// "flexfetch-static", "flexfetch-adaptive:<curve>", "oracle". FlexFetch
 /// variants need `profiles` (the recorded prior-run profiles); Oracle
-/// needs `future` (the trace to be replayed). The adaptive form attaches
-/// a battery-driven loss-rate curve parsed by energy::make_loss_curve
-/// (e.g. "flexfetch-adaptive:linear", "flexfetch-adaptive:constant@0.25",
-/// "flexfetch-adaptive:horizon-ratio@1800:0.05:0.5"); `loss_rate` is the
-/// fallback rate for bare "constant". Throws ConfigError for unknown
-/// names, malformed curve specs, or missing inputs.
+/// needs `future` (the trace to be replayed). Every FlexFetch variant and
+/// Oracle samples a loss-rate curve: "flexfetch", "flexfetch-static" and
+/// "oracle" the constant `loss_rate`, the adaptive form the curve parsed by
+/// energy::make_loss_curve (e.g. "flexfetch-adaptive:linear",
+/// "flexfetch-adaptive:horizon-ratio@1800:0.05:0.5"), with `loss_rate` as
+/// the fallback rate for a bare "constant". "flexfetch-adaptive:constant@R"
+/// is therefore "flexfetch" at rate R, and both are named "FlexFetch".
+/// Throws ConfigError for unknown names, malformed curve specs, negative
+/// rates, or missing inputs.
 std::unique_ptr<sim::Policy> make_policy(
     const std::string& name,
     const std::vector<core::Profile>& profiles = {},

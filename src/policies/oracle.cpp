@@ -8,7 +8,7 @@ core::FlexFetchConfig oracle_config(double loss_rate) {
   // A perfect profile needs no run-time correction; keep the cache filter
   // (it reflects genuine system state, not profile error).
   core::FlexFetchConfig c;
-  c.loss_rate = loss_rate;
+  c.loss_curve = std::make_shared<const energy::ConstantCurve>(loss_rate);
   c.adapt_splice = false;
   c.adapt_stage_audit = false;
   c.adapt_free_rider = true;

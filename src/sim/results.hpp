@@ -47,7 +47,7 @@ struct SimResult {
   Bytes disk_bytes = Bytes{0};
   Bytes net_bytes = Bytes{0};
 
-  /// Replica synchronization traffic (only with SimConfig::enable_sync).
+  /// Replica synchronization traffic (only with SimConfig::sync set).
   std::uint64_t sync_batches = 0;
   Bytes sync_bytes = Bytes{0};
 

@@ -174,12 +174,12 @@ void Simulator::start() {
   if (config_.enable_writeback) {
     schedule(vfs_.writeback().next_wakeup(Seconds{}), EventKind::kFlusher, 0);
   }
-  if (config_.enable_sync) {
-    sync_.emplace(config_.sync);
+  if (config_.sync) {
+    sync_.emplace(*config_.sync);
     schedule(sync_->next_wakeup(Seconds{}), EventKind::kSync, 0);
   }
-  if (config_.adaptive_disk_timeout) {
-    timeout_controller_.emplace(config_.adaptive_timeout);
+  if (config_.adaptive_timeout) {
+    timeout_controller_.emplace(*config_.adaptive_timeout);
   }
 
   policy_.begin(ctx_);

@@ -64,16 +64,15 @@ struct SimConfig {
   /// for the scheduler ablation; only measurable with the kDistance disk
   /// seek model).
   bool use_cscan = true;
-  /// Run the replica synchronization daemon: local writes accumulate
-  /// upload debt that is periodically shipped to the server over the WNIC
-  /// (the hoarding-system traffic the paper's Section 5 assumes away).
-  bool enable_sync = false;
-  hoard::SyncConfig sync;
-  /// Adapt the disk's spin-down timeout at run time (Douglis/Helmbold
-  /// style, the paper's Section 4 related work) instead of the fixed
-  /// laptop-mode 20 s.
-  bool adaptive_disk_timeout = false;
-  device::AdaptiveTimeoutConfig adaptive_timeout;
+  /// When set, run the replica synchronization daemon: local writes
+  /// accumulate upload debt that is periodically shipped to the server over
+  /// the WNIC (the hoarding-system traffic the paper's Section 5 assumes
+  /// away).
+  std::optional<hoard::SyncConfig> sync;
+  /// When set, adapt the disk's spin-down timeout at run time
+  /// (Douglis/Helmbold style, the paper's Section 4 related work) instead
+  /// of the fixed laptop-mode 20 s.
+  std::optional<device::AdaptiveTimeoutConfig> adaptive_timeout;
   /// Keep a per-request log in the result (memory-hungry; off by default).
   bool collect_request_log = false;
   /// Battery model fed by the event loop (validated at construction).

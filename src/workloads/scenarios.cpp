@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace flexfetch::workloads {
@@ -120,8 +121,16 @@ GrepMake build_grep_make(std::uint64_t seed, std::uint64_t run,
 
 }  // namespace
 
+void ScenarioTuning::validate() const {
+  FF_REQUIRE(std::isfinite(think_scale) && think_scale > 0.0,
+             "scenario tuning: think_scale must be finite and > 0");
+  FF_REQUIRE(std::isfinite(workload_scale) && workload_scale > 0.0,
+             "scenario tuning: workload_scale must be finite and > 0");
+}
+
 ScenarioBundle scenario_grep_make(std::uint64_t seed,
                                   const ScenarioTuning& tuning) {
+  tuning.validate();
   const GrepMake prior =
       build_grep_make(seed, seeds::profile_run(seed), tuning);
   GrepMake eval = build_grep_make(seed, seeds::eval_run(seed), tuning);
@@ -137,6 +146,7 @@ ScenarioBundle scenario_grep_make(std::uint64_t seed,
 
 ScenarioBundle scenario_mplayer(std::uint64_t seed,
                                 const ScenarioTuning& tuning) {
+  tuning.validate();
   const MplayerParams params = tuned(MplayerParams{}, tuning);
   Trace prior = mplayer_trace(params, seed, seeds::profile_run(seed));
   Trace eval = mplayer_trace(params, seed, seeds::eval_run(seed));
@@ -151,6 +161,7 @@ ScenarioBundle scenario_mplayer(std::uint64_t seed,
 
 ScenarioBundle scenario_thunderbird(std::uint64_t seed,
                                     const ScenarioTuning& tuning) {
+  tuning.validate();
   const ThunderbirdParams params = tuned(ThunderbirdParams{}, tuning);
   Trace prior = thunderbird_trace(params, seed, seeds::profile_run(seed));
   Trace eval = thunderbird_trace(params, seed, seeds::eval_run(seed));
@@ -166,6 +177,7 @@ ScenarioBundle scenario_thunderbird(std::uint64_t seed,
 
 ScenarioBundle scenario_forced_spinup(std::uint64_t seed,
                                       const ScenarioTuning& tuning) {
+  tuning.validate();
   const GrepMake prior =
       build_grep_make(seed, seeds::profile_run(seed), tuning);
   GrepMake eval = build_grep_make(seed, seeds::eval_run(seed), tuning);
@@ -191,6 +203,7 @@ ScenarioBundle scenario_forced_spinup(std::uint64_t seed,
 
 ScenarioBundle scenario_stale_acroread(std::uint64_t seed,
                                        const ScenarioTuning& tuning) {
+  tuning.validate();
   // The profile was recorded from a light run: 2 MB PDFs at 25 s intervals
   // (longer than the disk spin-down timeout). The current execution scans
   // 20 MB PDFs every 10 s.

@@ -41,6 +41,10 @@ struct ScenarioTuning {
   /// fleet sweeps run scaled-down scenario instances so a million users
   /// stay tractable while keeping each scenario's access *shape*.
   double workload_scale = 1.0;
+
+  /// Throws ConfigError unless both scales are finite and > 0. Every tuned
+  /// scenario builder below calls it first.
+  void validate() const;
 };
 
 /// Section 3.3.1 — programming: grep over the source tree, then a kernel

@@ -126,7 +126,7 @@ TEST(AdaptiveTimeout, SimulatorIntegrationReducesThrashEnergy) {
   const auto fixed = sim::simulate(sim::SimConfig{}, t, p1);
 
   sim::SimConfig config;
-  config.adaptive_disk_timeout = true;
+  config.adaptive_timeout.emplace();
   policies::DiskOnlyPolicy p2;
   const auto adaptive = sim::simulate(config, t, p2);
 

@@ -273,6 +273,16 @@ TEST(LossCurve, ConstructorValidation) {
   EXPECT_THROW(LinearCurve(-0.1, 0.5), ConfigError);
   EXPECT_THROW(StepCurve(1.5, 0.1, 0.4), ConfigError);
   EXPECT_THROW(HorizonRatioCurve(Seconds{0.0}, 0.05, 0.5), ConfigError);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ConstantCurve{inf}, ConfigError);
+  EXPECT_THROW(LinearCurve(inf, 0.5), ConfigError);
+  EXPECT_THROW(LinearCurve(0.05, inf), ConfigError);
+  EXPECT_THROW(StepCurve(inf, 0.1, 0.4), ConfigError);
+  EXPECT_THROW(StepCurve(0.2, inf, 0.4), ConfigError);
+  EXPECT_THROW(StepCurve(0.2, 0.1, inf), ConfigError);
+  EXPECT_THROW(HorizonRatioCurve(Seconds{inf}, 0.05, 0.5), ConfigError);
+  EXPECT_THROW(HorizonRatioCurve(Seconds{1800.0}, inf, 0.5), ConfigError);
+  EXPECT_THROW(HorizonRatioCurve(Seconds{1800.0}, 0.05, inf), ConfigError);
 }
 
 // ---------------------------------------------------------------------------
@@ -305,6 +315,17 @@ TEST(LossCurveSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(make_loss_curve("horizon-ratio@1800:0.05"), ConfigError);
   EXPECT_THROW(make_loss_curve("linear@"), ConfigError);
   EXPECT_THROW(make_loss_curve(""), ConfigError);
+  // Each parameter is one whole finite number in double's range: no
+  // infinities, overflow, underflow to zero, whitespace or hex.
+  EXPECT_THROW(make_loss_curve("linear@inf:0.5"), ConfigError);
+  EXPECT_THROW(make_loss_curve("linear@1e999:0.5"), ConfigError);
+  EXPECT_THROW(make_loss_curve("horizon-ratio@inf:0.05:0.5"), ConfigError);
+  EXPECT_THROW(make_loss_curve("constant@nan"), ConfigError);
+  EXPECT_THROW(make_loss_curve("constant@ 0.25"), ConfigError);
+  EXPECT_THROW(make_loss_curve("constant@0x1p-2"), ConfigError);
+  EXPECT_THROW(make_loss_curve("constant@1e-400"), ConfigError);
+  EXPECT_THROW(make_loss_curve("constant@+0.25"), ConfigError);
+  EXPECT_THROW(make_loss_curve("linear@0.05:"), ConfigError);
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ TEST(FlexFetch, NamesDistinguishVariants) {
 
 TEST(FlexFetch, RejectsBadConfig) {
   FlexFetchConfig c;
-  c.loss_rate = -1.0;
+  c.loss_curve = nullptr;
   EXPECT_THROW(FlexFetchPolicy(c, Profile{}), ConfigError);
   c = FlexFetchConfig{};
   c.stage_min_length = Seconds{0.0};
@@ -252,12 +252,12 @@ TEST(FlexFetch, LossRateGatesTheNetwork) {
   const trace::Trace t = b.build();
 
   FlexFetchConfig strict;
-  strict.loss_rate = 0.0;
+  strict.loss_curve = std::make_shared<const energy::ConstantCurve>(0.0);
   FlexFetchPolicy strict_policy(strict, profile_of(t));
   const auto strict_result = run_policy(strict_policy, t);
 
   FlexFetchConfig loose;
-  loose.loss_rate = 10.0;
+  loose.loss_curve = std::make_shared<const energy::ConstantCurve>(10.0);
   FlexFetchPolicy loose_policy(loose, profile_of(t));
   const auto loose_result = run_policy(loose_policy, t);
 

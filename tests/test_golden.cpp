@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,6 +36,8 @@ constexpr std::uint64_t kFleetFingerprintDigest = 0xde08c70d8c2eae57;
 constexpr std::uint64_t kFaultedGridDigest = 0xde38a32ef7daf4ec;
 /// fold_result_digest over every client of the N=1 and N=4 contention cells.
 constexpr std::uint64_t kContentionDigest = 0x20ca8b1d87755871;
+/// fold_result_digest over the 40 cells of the battery ablation.
+constexpr std::uint64_t kBatteryAblationDigest = 0xd58942158eb639e5;
 
 std::string hex(std::uint64_t v) {
   char buf[24];
@@ -136,6 +139,44 @@ TEST(Golden, Contention) {
   }
   EXPECT_EQ(digest, kContentionDigest)
       << "contention digest is now " << hex(digest) << "; simulated results changed";
+}
+
+TEST(Golden, BatteryAblation) {
+  // The battery-adaptive loss-rate ablation: mplayer then grep+make, each
+  // under the paper's FlexFetch and three adaptive curves, at initial
+  // battery fractions 0.05, 0.25, 0.5 and 1.0 plus a wall-power row, on a
+  // 20 kJ pack with a 10 W base drain and a 2 Mb/s WNIC.
+  const workloads::ScenarioBundle scenarios[] = {workloads::scenario_mplayer(1),
+                                                 workloads::scenario_grep_make(1)};
+  const char* const policies[] = {"flexfetch", "flexfetch-adaptive:linear",
+                                  "flexfetch-adaptive:step@0.2:0.05:0.5",
+                                  "flexfetch-adaptive:horizon-ratio@1800:0.05:0.5"};
+  const std::pair<double, bool> batteries[] = {
+      {0.05, false}, {0.25, false}, {0.5, false}, {1.0, false}, {1.0, true}};
+  std::vector<sim::SweepCell> cells;
+  for (const auto& scenario : scenarios) {
+    for (const char* policy : policies) {
+      for (const auto& [fraction, wall] : batteries) {
+        sim::SweepCell cell;
+        cell.scenario = &scenario;
+        cell.policy = policy;
+        cell.config.battery.capacity = Joules{20000.0};
+        cell.config.battery.base_drain = Watts{10.0};
+        cell.config.battery.initial_fraction = fraction;
+        cell.config.battery.on_wall_power = wall;
+        cell.wnic = device::WnicParams{}.with_bandwidth_mbps(2.0);
+        cells.push_back(cell);
+      }
+    }
+  }
+  ASSERT_EQ(cells.size(), 40u);
+
+  std::uint64_t digest = sim::kResultDigestSeed;
+  for (const auto& r : sim::run_sweep(cells, {.jobs = 1})) {
+    digest = sim::fold_result_digest(digest, r);
+  }
+  EXPECT_EQ(digest, kBatteryAblationDigest)
+      << "battery ablation digest is now " << hex(digest) << "; simulated results changed";
 }
 
 TEST(Golden, FleetFingerprint) {

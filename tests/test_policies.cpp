@@ -153,7 +153,7 @@ TEST(Factory, ParsesAdaptiveSpecs) {
   const std::vector<core::Profile> profiles{
       core::Profile::from_trace(t, Seconds{0.020})};
   EXPECT_EQ(make_policy("flexfetch-adaptive:constant@0.25", profiles)->name(),
-            "FlexFetch-adaptive(constant@0.25)");
+            "FlexFetch");
   EXPECT_EQ(make_policy("flexfetch-adaptive:linear", profiles)->name(),
             "FlexFetch-adaptive(linear@0.05:0.5)");
   EXPECT_EQ(make_policy("flexfetch-adaptive:step@0.3:0.1:0.6", profiles)
@@ -165,7 +165,7 @@ TEST(Factory, ParsesAdaptiveSpecs) {
   EXPECT_EQ(
       make_policy("flexfetch-adaptive:constant", profiles, nullptr, 0.4)
           ->name(),
-      "FlexFetch-adaptive(constant@0.4)");
+      "FlexFetch");
 }
 
 TEST(Factory, AdaptiveRejectsBadSpecsAndMissingProfiles) {
@@ -180,9 +180,9 @@ TEST(Factory, AdaptiveRejectsBadSpecsAndMissingProfiles) {
 }
 
 TEST(Factory, ConstantCurveReproducesStaticFlexFetch) {
-  // The degeneracy gate in miniature (bench_battery runs the full sweep):
-  // FlexFetch with `constant@0.25` must make the same decisions, spend the
-  // same energy and take the same time as the static 25% knob.
+  // "flexfetch-adaptive:constant@0.25" spells the paper's FlexFetch: it
+  // must make the same decisions, spend the same energy and take the same
+  // time as plain "flexfetch".
   for (const trace::Trace& t : {paced_trace(), bursty_trace()}) {
     const std::vector<core::Profile> profiles{
         core::Profile::from_trace(t, Seconds{0.020})};

@@ -116,8 +116,7 @@ TEST(SyncIntegration, WriterWorkloadProducesSyncTraffic) {
     b.think(Seconds{30.0});
   }
   sim::SimConfig config;
-  config.enable_sync = true;
-  config.sync.interval = Seconds{60.0};
+  config.sync = hoard::SyncConfig{.interval = Seconds{60.0}};
   policies::DiskOnlyPolicy policy;
   const auto r = sim::simulate(config, b.build(), policy);
   EXPECT_GT(r.sync_batches, 1u);
@@ -140,8 +139,7 @@ TEST(SyncIntegration, TrailingDebtIsDrainedAfterProgramsEnd) {
   b.process(70, 70);
   b.write(1, Bytes{0}, Bytes{128 * 1024});  // One write right at the end of the run.
   sim::SimConfig config;
-  config.enable_sync = true;
-  config.sync.interval = Seconds{300.0};  // Longer than the program's lifetime.
+  config.sync = hoard::SyncConfig{.interval = Seconds{300.0}};  // Longer than the program's lifetime.
   policies::DiskOnlyPolicy policy;
   const auto r = sim::simulate(config, b.build(), policy);
   EXPECT_EQ(r.sync_bytes, Bytes{128u * 1024u});  // Still shipped eventually.
@@ -158,8 +156,7 @@ TEST(SyncIntegration, SyncCostsWnicEnergy) {
   policies::DiskOnlyPolicy p1;
   const auto without = sim::simulate(sim::SimConfig{}, t, p1);
   sim::SimConfig config;
-  config.enable_sync = true;
-  config.sync.interval = Seconds{30.0};
+  config.sync = hoard::SyncConfig{.interval = Seconds{30.0}};
   policies::DiskOnlyPolicy p2;
   const auto with = sim::simulate(config, t, p2);
   EXPECT_GT(with.wnic_energy(), without.wnic_energy());

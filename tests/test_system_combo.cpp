@@ -15,9 +15,8 @@ namespace {
 
 sim::SimConfig everything_on() {
   sim::SimConfig config;
-  config.enable_sync = true;
-  config.sync.interval = Seconds{90.0};
-  config.adaptive_disk_timeout = true;
+  config.sync = hoard::SyncConfig{.interval = Seconds{90.0}};
+  config.adaptive_timeout.emplace();
   config.disk.seek_model = device::DiskParams::SeekModel::kDistance;
   config.wnic.bandwidth_schedule = {{Seconds{300.0}, units::mbps(5.5)},
                                     {Seconds{600.0}, units::mbps(11.0)}};
@@ -145,7 +144,7 @@ TEST(SystemCombo, OracleComposesWithRoamingAndSync) {
 TEST(SystemCombo, BlueFSComposesWithAdaptiveTimeout) {
   const auto scenario = workloads::scenario_thunderbird(1);
   sim::SimConfig config;
-  config.adaptive_disk_timeout = true;
+  config.adaptive_timeout.emplace();
   auto bluefs = policies::make_policy("bluefs");
   sim::Simulator simulator(config, scenario.programs, *bluefs);
   const auto with = simulator.run();

@@ -1,5 +1,8 @@
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "workloads/generators.hpp"
 #include "workloads/scenarios.hpp"
 
@@ -207,6 +210,22 @@ TEST(Scenarios, TuningActuallyScales) {
   EXPECT_GT(stretched.programs[1].trace.end_time(),
             full.programs[1].trace.end_time());
   EXPECT_EQ(stretched.programs[0].trace.size(), full.programs[0].trace.size());
+}
+
+TEST(Scenarios, TuningRejectsNonPositiveAndNonFiniteScales) {
+  using Builder = ScenarioBundle (*)(std::uint64_t, const ScenarioTuning&);
+  const Builder builders[] = {scenario_grep_make, scenario_mplayer,
+                              scenario_thunderbird, scenario_forced_spinup,
+                              scenario_stale_acroread};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {0.0, -1.0, inf, -inf, nan}) {
+    SCOPED_TRACE(bad);
+    for (const Builder build : builders) {
+      EXPECT_THROW(build(1, ScenarioTuning{.think_scale = bad}), ConfigError);
+      EXPECT_THROW(build(1, ScenarioTuning{.workload_scale = bad}), ConfigError);
+    }
+  }
 }
 
 }  // namespace
