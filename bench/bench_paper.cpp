@@ -4,14 +4,11 @@
 //   ./build/bench/bench_paper <name> [flags]
 //
 // `kEntries` at the bottom lists each name with the harness flags it
-// honours; `all` runs every entry in that order. An entry prints its tables,
-// then registers its google-benchmark timings, which run once every selected
-// entry has printed (`--benchmark_filter=none` skips them). A harness flag
-// the selected entry does not honour is rejected with the usage listing, so
-// a flag is never silently ignored. `bench_paper all --benchmark_filter=none`
+// honours; `all` runs every entry in that order. An entry prints its tables.
+// A harness flag the selected entry does not honour is rejected with the
+// usage listing, so a flag is never silently ignored. `bench_paper all`
 // prints bench/paper_tables.txt byte for byte, as `ctest -L golden` checks.
-
-#include <benchmark/benchmark.h>
+// Host speed is measured by perfbench, not here.
 
 #include <algorithm>
 #include <cstdio>
@@ -22,7 +19,6 @@
 #include "common/format.hpp"
 #include "common/rng.hpp"
 #include "core/flexfetch.hpp"
-#include "core/stage.hpp"
 #include "device/disk.hpp"
 #include "device/wnic.hpp"
 #include "harness.hpp"
@@ -38,8 +34,7 @@ namespace {
 
 // Regenerates Tables 1-3 of the paper: the device parameter tables and the
 // trace inventory, plus derived quantities (disk break-even time) that the
-// model exposes. Also registers google-benchmark timings of the substrate
-// primitives those tables parameterize.
+// model exposes.
 namespace tables {
 
 void print_table1() {
@@ -111,59 +106,17 @@ void print_table3() {
   std::printf("\n");
 }
 
-// --- google-benchmark timings of the primitives the tables parameterize ---
-
-void BM_DiskService(benchmark::State& state) {
-  device::Disk disk;
-  Seconds t = Seconds{0.0};
-  const auto size = Bytes{static_cast<std::uint64_t>(state.range(0))};
-  Bytes lba = Bytes{0};
-  for (auto _ : state) {
-    const auto res =
-        disk.service(t, device::DeviceRequest{.lba = lba, .size = size});
-    benchmark::DoNotOptimize(res.energy);
-    t = res.completion + Seconds{0.001};
-    lba += size + Bytes{1};  // Non-sequential: exercise positioning.
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_WnicService(benchmark::State& state) {
-  device::Wnic wnic;
-  Seconds t = Seconds{0.0};
-  const auto size = Bytes{static_cast<std::uint64_t>(state.range(0))};
-  for (auto _ : state) {
-    const auto res = wnic.service(t, device::DeviceRequest{.size = size});
-    benchmark::DoNotOptimize(res.energy);
-    t = res.completion + Seconds{0.001};
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_TraceGeneration(benchmark::State& state) {
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    const auto t = workloads::grep_trace(workloads::GrepParams{}, seed, seed);
-    benchmark::DoNotOptimize(t.size());
-    ++seed;
-  }
-}
-
 void entry(const bench::SweepSpec&) {
   print_table1();
   print_table2();
   print_table3();
-  benchmark::RegisterBenchmark("BM_DiskService", BM_DiskService)->Arg(4096)->Arg(131072);
-  benchmark::RegisterBenchmark("BM_WnicService", BM_WnicService)->Arg(4096)->Arg(131072);
-  benchmark::RegisterBenchmark("BM_TraceGeneration", BM_TraceGeneration);
 }
 
 }  // namespace tables
 
 // Figures 1-5 of Section 3.3, each captioned "<scenario>: Energy
 // consumptions with various WNIC bandwidths and latencies". An entry prints
-// the figure's (a) latency and (b) bandwidth panels, then times one
-// FlexFetch run of its scenario at the default WNIC point.
+// the figure's (a) latency and (b) bandwidth panels.
 //
 // Figure 1 — grep+make (Section 3.3.1, the programming scenario).
 // Expected shape (paper): at low latency BlueFS > Disk-only > WNIC-only >
@@ -202,7 +155,6 @@ struct Figure {
   const char* label;
   Builder scenario;
   std::vector<std::string> policies;
-  const char* timing;  // Name of the google-benchmark timing.
 };
 
 const std::vector<std::string> kPolicies = {"flexfetch", "bluefs", "disk-only",
@@ -212,26 +164,13 @@ const std::vector<std::string> kWithStatic = {"flexfetch", "flexfetch-static", "
                                               "disk-only", "wnic-only"};
 
 const Figure kFigures[] = {
-    {"Figure 1 (grep+make)", workloads::scenario_grep_make, kPolicies,
-     "BM_SimulateGrepMakeFlexFetch"},
-    {"Figure 2 (mplayer)", workloads::scenario_mplayer, kPolicies,
-     "BM_SimulateMplayerFlexFetch"},
-    {"Figure 3 (Thunderbird)", workloads::scenario_thunderbird, kPolicies,
-     "BM_SimulateThunderbirdFlexFetch"},
-    {"Figure 4 (grep+make / xmms)", workloads::scenario_forced_spinup, kWithStatic,
-     "BM_SimulateForcedSpinupFlexFetch"},
+    {"Figure 1 (grep+make)", workloads::scenario_grep_make, kPolicies},
+    {"Figure 2 (mplayer)", workloads::scenario_mplayer, kPolicies},
+    {"Figure 3 (Thunderbird)", workloads::scenario_thunderbird, kPolicies},
+    {"Figure 4 (grep+make / xmms)", workloads::scenario_forced_spinup, kWithStatic},
     {"Figure 5 (Acroread, stale profile)", workloads::scenario_stale_acroread,
-     kWithStatic, "BM_SimulateAcroreadFlexFetch"},
+     kWithStatic},
 };
-
-void BM_SimulateFlexFetch(benchmark::State& state, Builder build) {
-  const auto scenario = build(1);
-  for (auto _ : state) {
-    const auto r = bench::run_once(scenario, "flexfetch",
-                                   device::WnicParams::cisco_aironet350());
-    benchmark::DoNotOptimize(r.total_energy());
-  }
-}
 
 template <std::size_t I>
 void entry(const bench::SweepSpec& spec) {
@@ -239,8 +178,6 @@ void entry(const bench::SweepSpec& spec) {
   bench::SweepSpec figure_spec = spec;
   figure_spec.policies = figure.policies;
   bench::print_figure(figure.label, figure.scenario(1), figure_spec);
-  benchmark::RegisterBenchmark(figure.timing, BM_SimulateFlexFetch, figure.scenario)
-      ->Unit(benchmark::kMillisecond);
 }
 
 }  // namespace figures
@@ -275,20 +212,11 @@ void run_lossrate_sweep(const workloads::ScenarioBundle& scenario, int jobs) {
   std::printf("\n");
 }
 
-void BM_LossRateDecision(benchmark::State& state) {
-  const core::Estimate disk{.time = Seconds{10.0}, .energy = Joules{100.0}};
-  const core::Estimate net{.time = Seconds{11.0}, .energy = Joules{60.0}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::decide_source(disk, net, 0.25));
-  }
-}
-
 void entry(const bench::SweepSpec& spec) {
   std::printf("=== Ablation A: maximum tolerable performance loss rate ===\n");
   std::printf("(paper uses 25%%; rule 3 of Section 2.2)\n\n");
   run_lossrate_sweep(workloads::scenario_grep_make(1), spec.jobs);
   run_lossrate_sweep(workloads::scenario_mplayer(1), spec.jobs);
-  benchmark::RegisterBenchmark("BM_LossRateDecision", BM_LossRateDecision);
 }
 
 }  // namespace lossrate
@@ -336,23 +264,11 @@ void run_scenario(const workloads::ScenarioBundle& scenario) {
   std::printf("\n");
 }
 
-void BM_AdaptiveFlexFetchForcedSpinup(benchmark::State& state) {
-  const auto scenario = workloads::scenario_forced_spinup(1);
-  for (auto _ : state) {
-    core::FlexFetchPolicy policy(core::FlexFetchConfig{}, scenario.profiles);
-    sim::Simulator simulator(sim::SimConfig{}, scenario.programs, policy);
-    benchmark::DoNotOptimize(simulator.run().total_energy());
-  }
-}
-
 void entry(const bench::SweepSpec&) {
   std::printf("=== Ablation B: Section 2.3 adaptation mechanisms ===\n\n");
   run_scenario(workloads::scenario_forced_spinup(1));
   run_scenario(workloads::scenario_stale_acroread(1));
   run_scenario(workloads::scenario_thunderbird(1));
-  benchmark::RegisterBenchmark("BM_AdaptiveFlexFetchForcedSpinup",
-                               BM_AdaptiveFlexFetchForcedSpinup)
-      ->Unit(benchmark::kMillisecond);
 }
 
 }  // namespace adaptation
@@ -381,21 +297,11 @@ void run_sweep(const workloads::ScenarioBundle& scenario) {
   std::printf("\n");
 }
 
-void BM_StageSegmentation(benchmark::State& state) {
-  const auto scenario = workloads::scenario_grep_make(1);
-  const auto merged =
-      core::Profile::merge(scenario.profiles, "bench");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::segment_stages(merged, Seconds{40.0}).size());
-  }
-}
-
 void entry(const bench::SweepSpec&) {
   std::printf("=== Ablation C: evaluation-stage length ===\n");
   std::printf("(paper uses 40 s)\n\n");
   run_sweep(workloads::scenario_grep_make(1));
   run_sweep(workloads::scenario_stale_acroread(1));
-  benchmark::RegisterBenchmark("BM_StageSegmentation", BM_StageSegmentation);
 }
 
 }  // namespace stage
@@ -426,20 +332,9 @@ void run_scenarios(int jobs) {
   std::printf("\n");
 }
 
-void BM_OracleGrepMake(benchmark::State& state) {
-  const auto scenario = workloads::scenario_grep_make(1);
-  for (auto _ : state) {
-    const auto r = bench::run_once(scenario, "oracle",
-                                   device::WnicParams::cisco_aironet350());
-    benchmark::DoNotOptimize(r.total_energy());
-  }
-}
-
 void entry(const bench::SweepSpec& spec) {
   std::printf("=== Ablation D: FlexFetch vs clairvoyant Oracle ===\n\n");
   run_scenarios(spec.jobs);
-  benchmark::RegisterBenchmark("BM_OracleGrepMake", BM_OracleGrepMake)
-      ->Unit(benchmark::kMillisecond);
 }
 
 }  // namespace oracle
@@ -494,26 +389,10 @@ void print_comparison() {
   std::printf("\n");
 }
 
-void BM_ScatterFlushCScan(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run(true, 800).total_energy());
-  }
-}
-
-void BM_ScatterFlushFifo(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run(false, 800).total_energy());
-  }
-}
-
 void entry(const bench::SweepSpec&) {
   std::printf("=== Ablation E: C-SCAN elevator vs FIFO dispatch ===\n");
   std::printf("(distance-dependent seek model; scattered write-back batch)\n\n");
   print_comparison();
-  benchmark::RegisterBenchmark("BM_ScatterFlushCScan", BM_ScatterFlushCScan)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("BM_ScatterFlushFifo", BM_ScatterFlushFifo)
-      ->Unit(benchmark::kMillisecond);
 }
 
 }  // namespace cscan
@@ -559,20 +438,10 @@ void print_sweep(const workloads::ScenarioBundle& scenario,
   std::printf("\n");
 }
 
-void BM_GrepMakeWithSync(benchmark::State& state) {
-  const auto scenario = workloads::scenario_grep_make(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run(scenario, "flexfetch", 120.0).total_energy());
-  }
-}
-
 void entry(const bench::SweepSpec&) {
   std::printf("=== Ablation F: replica synchronization overhead ===\n\n");
   print_sweep(workloads::scenario_grep_make(1), "flexfetch");
   print_sweep(workloads::scenario_grep_make(1), "disk-only");
-  benchmark::RegisterBenchmark("BM_GrepMakeWithSync", BM_GrepMakeWithSync)
-      ->Unit(benchmark::kMillisecond);
 }
 
 }  // namespace sync
@@ -615,22 +484,11 @@ void sweep(const workloads::ScenarioBundle& scenario,
   std::printf("\n");
 }
 
-void BM_AdaptiveTimeoutThunderbird(benchmark::State& state) {
-  const auto scenario = workloads::scenario_thunderbird(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run(scenario, "disk-only", 0, true).total_energy());
-  }
-}
-
 void entry(const bench::SweepSpec&) {
   std::printf("=== Ablation G: disk spin-down timeout (fixed vs adaptive) ===\n\n");
   sweep(workloads::scenario_thunderbird(1), "disk-only");
   sweep(workloads::scenario_mplayer(1), "disk-only");
   sweep(workloads::scenario_thunderbird(1), "flexfetch");
-  benchmark::RegisterBenchmark("BM_AdaptiveTimeoutThunderbird",
-                               BM_AdaptiveTimeoutThunderbird)
-      ->Unit(benchmark::kMillisecond);
 }
 
 }  // namespace timeout
@@ -674,24 +532,9 @@ void report() {
               core::FlexFetchConfig{}.overhead_per_op.value() * 1e6);
 }
 
-void BM_DecisionEvaluation(benchmark::State& state) {
-  const auto scenario = workloads::scenario_thunderbird(1);
-  const auto merged = core::Profile::merge(scenario.profiles, "bench");
-  device::Disk disk;
-  device::Wnic wnic;
-  os::FileLayout layout(30 * kGiB);
-  const auto span = merged.span(0, std::min<std::size_t>(merged.size(), 8));
-  for (auto _ : state) {
-    const auto d = core::SourceEstimator::estimate_disk(disk, span, Seconds{0.0}, layout);
-    const auto n = core::SourceEstimator::estimate_network(wnic, span, Seconds{0.0});
-    benchmark::DoNotOptimize(core::decide_source(d, n, 0.25));
-  }
-}
-
 void entry(const bench::SweepSpec&) {
   std::printf("=== Ablation H: scheme overhead vs energy saved ===\n\n");
   report();
-  benchmark::RegisterBenchmark("BM_DecisionEvaluation", BM_DecisionEvaluation);
 }
 
 }  // namespace overhead
@@ -844,8 +687,5 @@ int main(int argc, char** argv) {
   for (const Entry& e : kEntries) {
     if (all || &e == entry) e.run(spec);
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,31 +3,22 @@
 // parallel sweep engine.
 //
 //   ./build/bench/bench_sweep [--jobs N] [--policies a,b,c] [--seed S]
-//                             [--out FILE] [--no-serial] [--metrics]
-//                             [--trace-out FILE] [--fault-seed S]
-//                             [--aggregate-out FILE] [--cells=off]
+//                             [--out FILE] [--metrics] [--trace-out FILE]
+//                             [--fault-seed S] [--aggregate-out FILE]
 //
 // Runs the grid once serially (jobs=1, the baseline) and once with N
 // workers, verifies the parallel results are bit-identical to the serial
 // ones, and writes a machine-readable BENCH_sweep.json with per-cell
-// energy/time plus the wall-clock speedup — the perf trajectory record
-// tracked across PRs. When only one worker is effective the baseline pass
-// would duplicate the measured pass bit-for-bit, so it is skipped and the
-// JSON carries `"serial_fallback": true` instead of a speedup.
+// energy/time plus the wall-clock speedup. When only one worker is
+// effective the baseline pass would duplicate the measured pass
+// bit-for-bit, so it is skipped and the JSON carries
+// `"serial_fallback": true` instead of a speedup.
 //
 // The parallel pass streams through run_sweep_streaming: each cell result
 // is checked against the serial baseline and folded into per-stratum
 // aggregates (Welford stats + merged metrics/histograms) the moment it
 // completes, in grid order. --aggregate-out writes that constant-size
 // aggregate record.
-//
-// --cells=off switches to aggregate-only operation: neither pass keeps a
-// per-cell results vector, so peak memory is bounded by strata count, not
-// grid size. The determinism gate then compares O(1)-memory streaming
-// digests (fold_result_digest over every cell in grid order) instead of
-// the cell-by-cell vectors, and the output record (still --out) is the
-// cells-free summary schema with the digest recorded. Incompatible with
-// --trace-out, which needs cell 0's materialized events.
 
 #include <chrono>
 #include <cstdio>
@@ -81,39 +72,24 @@ int run(int argc, char** argv) {
   std::string aggregate_out;
   bool metrics = false;
   std::vector<std::string> policy_names = policies::standard_policy_names();
-  bool no_serial = false;
   std::string policies_csv;
-  std::string cells_mode = "on";
   bench::ParsedFlags flags;
   flags.add("jobs", &jobs, "N");
   flags.add("policies", &policies_csv, "a,b,c");
   flags.add("seed", &seed, "S");
   flags.add("fault-seed", &fault_seed, "S");
   flags.add("out", &out_path, "FILE");
-  flags.add("no-serial", &no_serial);
   flags.add("metrics", &metrics);
   flags.add("trace-out", &trace_out, "FILE");
   flags.add("aggregate-out", &aggregate_out, "FILE");
-  flags.add("cells", &cells_mode, "on|off");
   flags.parse(argc, argv);
   if (!policies_csv.empty()) policy_names = bench::split_csv(policies_csv);
-  if (cells_mode != "on" && cells_mode != "off") {
-    std::fprintf(stderr, "bench_sweep: --cells takes 'on' or 'off'\n");
-    return 2;
-  }
-  const bool cells_off = cells_mode == "off";
-  if (cells_off && !trace_out.empty()) {
-    std::fprintf(stderr, "bench_sweep: --cells=off cannot keep cell 0's "
-                         "events; drop --trace-out\n");
-    return 2;
-  }
   const sim::JobsResolution jobs_resolution = sim::resolve_jobs_detail(jobs);
   jobs = jobs_resolution.effective;
   // With one effective worker the streaming pass below already runs the
   // grid serially — a separate jobs=1 baseline would be a bit-identical
   // duplicate of it, so skip the redundant pass and flag the fallback.
   const bool serial_fallback = jobs <= 1;
-  const bool run_serial_baseline = !no_serial && !serial_fallback;
 
   const auto scenarios = workloads::all_scenarios(seed);
   bench::SweepSpec spec;
@@ -157,75 +133,8 @@ int run(int argc, char** argv) {
                 "speedup to measure)\n");
   }
 
-  if (cells_off) {
-    // Aggregate-only operation: both passes stream, nothing per-cell is
-    // retained, and the determinism gate runs on order-sensitive digests.
-    std::uint64_t serial_digest = sim::kResultDigestSeed;
-    if (run_serial_baseline) {
-      const auto t0 = std::chrono::steady_clock::now();
-      sim::run_sweep_streaming(
-          cells, {.jobs = 1},
-          [&](std::size_t, const sim::SweepCell&, sim::SimResult&& result) {
-            serial_digest = sim::fold_result_digest(serial_digest, result);
-          });
-      info.serial_wall_seconds = bench::wall_seconds_since(t0);
-      std::printf("serial  (jobs=1): %.2f s\n", info.serial_wall_seconds);
-    }
-
-    sim::SweepAggregator aggregator;
-    std::uint64_t digest = sim::kResultDigestSeed;
-    const auto t1 = std::chrono::steady_clock::now();
-    sim::run_sweep_streaming(
-        cells, {.jobs = jobs},
-        [&](std::size_t, const sim::SweepCell& cell, sim::SimResult&& result) {
-          digest = sim::fold_result_digest(digest, result);
-          aggregator.add(cell, result);
-        });
-    info.wall_seconds = bench::wall_seconds_since(t1);
-    std::printf("parallel (jobs=%d): %.2f s", jobs, info.wall_seconds);
-    if (run_serial_baseline) std::printf("  speedup=%.2fx", info.speedup());
-    std::printf("\n");
-
-    if (run_serial_baseline) {
-      if (digest != serial_digest) {
-        std::fprintf(stderr,
-                     "DETERMINISM VIOLATION: parallel stream digest "
-                     "%016llx != serial %016llx\n",
-                     static_cast<unsigned long long>(digest),
-                     static_cast<unsigned long long>(serial_digest));
-        return 1;
-      }
-      std::printf("determinism: parallel stream digest matches serial "
-                  "baseline (%zu cells)\n",
-                  cells.size());
-    }
-
-    info.peak_rss_bytes = bench::peak_rss_bytes();
-    std::ofstream os(out_path);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-      return 1;
-    }
-    sim::write_sweep_summary_json(os, aggregator, info, cells.size(), digest);
-    std::printf("wrote %s (cells=off, %zu strata)\n", out_path.c_str(),
-                aggregator.strata().size());
-
-    if (!aggregate_out.empty()) {
-      std::ofstream agg_os(aggregate_out);
-      if (!agg_os) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     aggregate_out.c_str());
-        return 1;
-      }
-      sim::write_aggregate_json(agg_os, aggregator, info);
-      std::printf("wrote %s (%zu strata)\n", aggregate_out.c_str(),
-                  aggregator.strata().size());
-    }
-    return 0;
-  }
-
   std::vector<sim::SimResult> serial;
-  if (run_serial_baseline) {
+  if (!serial_fallback) {
     const auto t0 = std::chrono::steady_clock::now();
     serial = sim::run_sweep(cells, {.jobs = 1});
     info.serial_wall_seconds = bench::wall_seconds_since(t0);
@@ -242,7 +151,7 @@ int run(int argc, char** argv) {
   sim::run_sweep_streaming(
       cells, {.jobs = jobs},
       [&](std::size_t i, const sim::SweepCell& cell, sim::SimResult&& result) {
-        if (run_serial_baseline && !results_identical(serial[i], result)) {
+        if (!serial_fallback && !results_identical(serial[i], result)) {
           ++mismatches;
           std::fprintf(stderr,
                        "DETERMINISM VIOLATION at cell %zu (%s / %s): parallel "
@@ -254,11 +163,11 @@ int run(int argc, char** argv) {
       });
   info.wall_seconds = bench::wall_seconds_since(t1);
   std::printf("parallel (jobs=%d): %.2f s", jobs, info.wall_seconds);
-  if (run_serial_baseline) std::printf("  speedup=%.2fx", info.speedup());
+  if (!serial_fallback) std::printf("  speedup=%.2fx", info.speedup());
   std::printf("\n");
 
   if (mismatches > 0) return 1;
-  if (run_serial_baseline) {
+  if (!serial_fallback) {
     std::printf("determinism: parallel results identical to serial baseline "
                 "(%zu cells)\n",
                 cells.size());

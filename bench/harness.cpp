@@ -62,7 +62,6 @@ void ParsedFlags::print_flag_list(std::FILE* to) const {
     }
   }
   std::fprintf(to, "  --help, -h\n");
-  std::fprintf(to, "  --benchmark_*   (passed through to google-benchmark)\n");
 }
 
 void ParsedFlags::usage_and_exit(const char* argv0, const char* problem,
@@ -72,8 +71,7 @@ void ParsedFlags::usage_and_exit(const char* argv0, const char* problem,
   std::exit(2);
 }
 
-void ParsedFlags::parse(int& argc, char** argv) const {
-  int out = 1;
+void ParsedFlags::parse(int argc, const char* const* argv) const {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
@@ -97,13 +95,7 @@ void ParsedFlags::parse(int& argc, char** argv) const {
         break;
       }
     }
-    if (matched == nullptr) {
-      if (std::strncmp(a, "--benchmark_", 12) == 0) {
-        argv[out++] = argv[i];  // Left for google-benchmark to parse.
-        continue;
-      }
-      usage_and_exit(argv[0], "unknown argument", a);
-    }
+    if (matched == nullptr) usage_and_exit(argv[0], "unknown argument", a);
     if (matched->bool_target != nullptr) {
       *matched->bool_target = true;
       continue;
@@ -123,8 +115,6 @@ void ParsedFlags::parse(int& argc, char** argv) const {
     }
     if (!ok) usage_and_exit(argv[0], ("bad number for " + matched->name).c_str(), value);
   }
-  argc = out;
-  argv[argc] = nullptr;
 }
 
 namespace {

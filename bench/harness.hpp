@@ -60,15 +60,14 @@ void print_figure(const std::string& figure_label,
                   const SweepSpec& spec);
 
 /// Declarative command-line flag table. Each bench binary registers the
-/// flags it understands (`add`), then calls `parse` once: recognised flags
-/// are stripped from argv, `--benchmark_*` flags are left in place for
-/// google-benchmark, and anything else prints a generated usage message and
-/// exits with status 2 — unknown flags are never silently ignored. So does a
-/// numeric value that is not a whole in-range number (`--jobs abc`,
-/// `--fault-seed 7x`, `--fault-seed -1`, `--users 1e5`). Adding a
-/// new flag (e.g. `--hotpath-out`) is one `add` call; spelling variants
-/// (`--flag VALUE` and `--flag=VALUE`), the per-flag usage listing that an
-/// unknown argument triggers, and `--help`/`-h` all come for free.
+/// flags it understands (`add`), then calls `parse` once: anything that is
+/// not a registered flag prints a generated usage message and exits with
+/// status 2 — unknown flags are never silently ignored. So does a numeric
+/// value that is not a whole in-range number (`--jobs abc`,
+/// `--fault-seed 7x`, `--fault-seed -1`, `--users 1e5`). Adding a new flag
+/// is one `add` call; spelling variants (`--flag VALUE` and
+/// `--flag=VALUE`), the per-flag usage listing that an unknown argument
+/// triggers, and `--help`/`-h` all come for free.
 class ParsedFlags {
  public:
   /// Bare boolean flag: `--name` sets *target to true.
@@ -80,9 +79,8 @@ class ParsedFlags {
   /// String flag: `--name VALUE` or `--name=VALUE`.
   void add(std::string name, std::string* target, std::string value_name);
 
-  /// Parses argv in place; on return argv holds only argv[0] and any
-  /// `--benchmark_*` flags (argc updated to match).
-  void parse(int& argc, char** argv) const;
+  /// Parses every argument after argv[0] into the registered targets.
+  void parse(int argc, const char* const* argv) const;
 
   /// Prints "<argv0>: <problem> '<arg>'" and the flag list to stderr, then
   /// exits with status 2 — for values a bench checks after parse().
@@ -98,8 +96,7 @@ class ParsedFlags {
     std::uint64_t* u64_target = nullptr;
     std::string* string_target = nullptr;
   };
-  /// One line per registered flag, plus --help and the --benchmark_*
-  /// pass-through.
+  /// One line per registered flag, plus --help.
   void print_flag_list(std::FILE* to) const;
   std::vector<Flag> flags_;
 };
@@ -123,8 +120,8 @@ double wall_seconds_since(std::chrono::steady_clock::time_point start);
 
 /// Peak resident set size of this process so far, in bytes (getrusage
 /// ru_maxrss). Benches record it into their JSON artifacts so
-/// memory-boundedness claims (--cells=off, fleet shards) are checkable
-/// from the record. Lives in bench/, not src/: it is a host measurement,
+/// memory-boundedness claims (fleet shards) are checkable from the
+/// record. Lives in bench/, not src/: it is a host measurement,
 /// like wall clocks.
 std::uint64_t peak_rss_bytes();
 

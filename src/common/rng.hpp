@@ -173,7 +173,7 @@ class Rng {
 ///  * The frozen legacy mappings the paper scenarios were generated
 ///    with (profile_run/eval_run/domain). These are pinned by golden
 ///    tests: changing them would silently regenerate every trace and
-///    invalidate every recorded figure and BENCH_*.json artifact.
+///    invalidate every recorded figure and golden digest.
 namespace seeds {
 
 /// Domain tags for derive_stream hierarchies (arbitrary but fixed).

@@ -1,13 +1,15 @@
 #include "sim/sweep.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <mutex>
 #include <ostream>
+#include <string>
+#include <system_error>
 #include <utility>
 
 #include "common/error.hpp"
@@ -25,12 +27,14 @@ JobsResolution resolve_jobs_detail(int requested) {
     return r;
   }
   if (const char* env = std::getenv("FF_JOBS")) {
-    const int n = std::atoi(env);
-    if (n > 0) {
-      r.effective = n;
-      r.from_env = true;
-      return r;
-    }
+    const char* end = env + std::strlen(env);
+    int n = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, n);
+    FF_REQUIRE(ec == std::errc{} && ptr == end && n > 0,
+               "FF_JOBS must be a positive integer, got '" + std::string(env) + "'");
+    r.effective = n;
+    r.from_env = true;
+    return r;
   }
   // Unset: clamp to what the host can actually run in parallel.
   r.effective = static_cast<int>(ThreadPool::default_concurrency());
@@ -429,33 +433,6 @@ void write_aggregate_json(std::ostream& os, const SweepAggregator& agg,
      << ",\n";
   os << "  \"peak_rss_bytes\": " << info.peak_rss_bytes << ",\n";
   os << "  \"cells\": " << agg.cells_seen() << ",\n";
-  write_strata_json(os, agg, 2);
-  os << "\n}\n";
-}
-
-void write_sweep_summary_json(std::ostream& os, const SweepAggregator& agg,
-                              const SweepRunInfo& info,
-                              std::uint64_t cell_count,
-                              std::uint64_t cells_digest) {
-  const unsigned hw = info.hardware_concurrency != 0
-                          ? info.hardware_concurrency
-                          : ThreadPool::default_concurrency();
-  char digest_hex[19];
-  std::snprintf(digest_hex, sizeof(digest_hex), "0x%016llx",
-                static_cast<unsigned long long>(cells_digest));
-  os << "{\n";
-  os << "  \"jobs\": " << info.jobs << ",\n";
-  os << "  \"jobs_requested\": " << info.jobs_requested << ",\n";
-  os << "  \"hardware_concurrency\": " << hw << ",\n";
-  os << "  \"wall_seconds\": " << info.wall_seconds << ",\n";
-  os << "  \"serial_wall_seconds\": " << info.serial_wall_seconds << ",\n";
-  os << "  \"speedup\": " << info.speedup() << ",\n";
-  os << "  \"serial_fallback\": " << (info.serial_fallback ? "true" : "false")
-     << ",\n";
-  os << "  \"peak_rss_bytes\": " << info.peak_rss_bytes << ",\n";
-  os << "  \"cells_mode\": \"off\",\n";
-  os << "  \"cell_count\": " << cell_count << ",\n";
-  os << "  \"cells_digest\": \"" << digest_hex << "\",\n";
   write_strata_json(os, agg, 2);
   os << "\n}\n";
 }

@@ -57,7 +57,8 @@ struct SweepOptions {
 };
 
 /// Resolves an effective worker count: `requested` if positive, else
-/// FF_JOBS if set to a positive integer, else hardware concurrency.
+/// FF_JOBS if set, else hardware concurrency. A set FF_JOBS must be a
+/// whole positive int; anything else throws ConfigError.
 int resolve_jobs(int requested);
 
 /// How a worker count was arrived at — recorded in sweep artifacts so a
@@ -223,9 +224,8 @@ class SweepAggregator {
 
 /// Order-sensitive FNV-1a fold of every scalar write_sweep_json records
 /// for a cell (bit patterns, not rounded text). Two passes over the same
-/// grid produce equal digests iff every cell result is bit-identical —
-/// the O(1)-memory determinism gate behind `bench_sweep --cells=off`,
-/// where the per-cell results vector is never materialized.
+/// grid produce equal digests iff every cell result is bit-identical, so
+/// one 64-bit value pins a whole grid's results.
 std::uint64_t fold_result_digest(std::uint64_t digest, const SimResult& result);
 
 /// Seed for fold_result_digest chains (FNV-1a offset basis).
@@ -276,18 +276,9 @@ void write_aggregate_json(std::ostream& os, const SweepAggregator& agg,
 
 /// Emits just the `"strata": [...]` key/value pair of the aggregate
 /// record at the given indent depth (no trailing comma or newline) —
-/// shared by write_aggregate_json, the cells-off sweep record, and
-/// BENCH_fleet.json so all three stay schema-aligned.
+/// shared by write_aggregate_json and BENCH_fleet.json so both stay
+/// schema-aligned.
 void write_strata_json(std::ostream& os, const SweepAggregator& agg,
                        int indent);
-
-/// Cells-off sweep record: the run metadata of write_sweep_json plus the
-/// per-stratum aggregates and the streaming determinism digest — but no
-/// cells[] array, so output size and memory are bounded by strata count
-/// however large the grid was (`bench_sweep --cells=off`).
-void write_sweep_summary_json(std::ostream& os, const SweepAggregator& agg,
-                              const SweepRunInfo& info,
-                              std::uint64_t cell_count,
-                              std::uint64_t cells_digest);
 
 }  // namespace flexfetch::sim

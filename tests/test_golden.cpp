@@ -21,7 +21,10 @@
 #include "fleet/runner.hpp"
 #include "medium/multi_client.hpp"
 #include "policies/factory.hpp"
+#include "policies/fixed.hpp"
+#include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "workloads/generators.hpp"
 #include "workloads/scenarios.hpp"
 
 namespace flexfetch {
@@ -38,6 +41,9 @@ constexpr std::uint64_t kFaultedGridDigest = 0xde38a32ef7daf4ec;
 constexpr std::uint64_t kContentionDigest = 0x20ca8b1d87755871;
 /// fold_result_digest over the 40 cells of the battery ablation.
 constexpr std::uint64_t kBatteryAblationDigest = 0xd58942158eb639e5;
+/// fold_result_digest of one grep run under Disk-only, the run that
+/// bench_telemetry times.
+constexpr std::uint64_t kGrepDiskOnlyDigest = 0x65c838014433852e;
 
 std::string hex(std::uint64_t v) {
   char buf[24];
@@ -92,6 +98,15 @@ TEST(Golden, FaultedGrid) {
   const std::uint64_t digest = standard_grid_digest(base);
   EXPECT_EQ(digest, kFaultedGridDigest)
       << "faulted grid digest is now " << hex(digest) << "; simulated results changed";
+}
+
+TEST(Golden, GrepDiskOnly) {
+  policies::DiskOnlyPolicy policy;
+  const auto r = sim::simulate(sim::SimConfig{}, workloads::grep_trace(), policy);
+  EXPECT_EQ(r.syscalls, 6399u);
+  const std::uint64_t digest = sim::fold_result_digest(sim::kResultDigestSeed, r);
+  EXPECT_EQ(digest, kGrepDiskOnlyDigest)
+      << "grep disk-only digest is now " << hex(digest) << "; simulated results changed";
 }
 
 TEST(Golden, Contention) {

@@ -224,7 +224,8 @@ TEST(Seeds, StreamsAreDistinctAcrossIndexAndDomain) {
 // The legacy helpers are FROZEN arithmetic: they exist to give the
 // historical ad-hoc seed expressions one named home, and they must keep
 // producing the exact values the pre-fleet artifacts were generated
-// with. If one of these fails, every committed BENCH_*.json is stale.
+// with. If one of these fails, every golden digest and
+// bench/paper_tables.txt is stale.
 TEST(Seeds, LegacyHelpersAreFrozen) {
   static_assert(seeds::profile_run(1) == 2);
   static_assert(seeds::eval_run(1) == 3);

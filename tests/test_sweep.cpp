@@ -135,9 +135,15 @@ TEST(Sweep, ResolveJobsPrefersExplicitThenEnv) {
   ::setenv("FF_JOBS", "7", 1);
   EXPECT_EQ(sim::resolve_jobs(0), 7);
   EXPECT_EQ(sim::resolve_jobs(2), 2);
-  ::setenv("FF_JOBS", "not-a-number", 1);
-  EXPECT_EQ(sim::resolve_jobs(0),
-            static_cast<int>(ThreadPool::default_concurrency()));
+  // A set FF_JOBS must be a whole positive int, and an explicit count
+  // never reads it.
+  for (const char* bad :
+       {"not-a-number", "4x", "0", "-2", " 4", "", "99999999999"}) {
+    SCOPED_TRACE(bad);
+    ::setenv("FF_JOBS", bad, 1);
+    EXPECT_THROW(sim::resolve_jobs(0), ConfigError);
+    EXPECT_EQ(sim::resolve_jobs(2), 2);
+  }
   ::unsetenv("FF_JOBS");
   EXPECT_EQ(sim::resolve_jobs(0),
             static_cast<int>(ThreadPool::default_concurrency()));
