@@ -1,20 +1,10 @@
 #include "os/buffer_cache.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/error.hpp"
 
 namespace flexfetch::os {
-
-namespace {
-
-/// Low 32 bits of the page's hash; tag & mask is the entry's home bucket.
-std::uint32_t tag_of(const PageId& id) {
-  return static_cast<std::uint32_t>(PageIdHash{}(id));
-}
-
-}  // namespace
 
 BufferCache::BufferCache(BufferCacheConfig config) : capacity_(config.capacity_pages) {
   // All checks precede the double -> integer conversions (undefined for NaN,
@@ -35,43 +25,60 @@ BufferCache::BufferCache(BufferCacheConfig config) : capacity_(config.capacity_p
   const std::size_t slots = capacity_ + kout_;
   FF_REQUIRE(slots < kNull, "buffer cache: capacity too large for 32-bit slots");
   arena_.reserve(slots);
-
-  // <= 50% load factor, power-of-two size: the table is sized once and
-  // never rehashes.
-  map_.resize(std::max<std::size_t>(16, std::bit_ceil(2 * slots)));
-  map_mask_ = map_.size() - 1;
 }
 
-std::uint32_t BufferCache::map_find(const PageId& id) const {
-  const std::uint32_t tag = tag_of(id);
-  for (std::size_t pos = tag & map_mask_; map_[pos].slot != kNull;
-       pos = (pos + 1) & map_mask_) {
-    if (map_[pos].tag == tag && arena_[map_[pos].slot].id == id) return map_[pos].slot;
+void BufferCache::register_files(const std::map<Inode, Bytes>& extents) {
+  for (const auto& [inode, size] : extents) {
+    const std::uint64_t pages = page_end_index(Bytes{}, size);
+    FileSpan& span = files_[file(inode)];
+    if (pages > span.pages) grow(span, pages - 1);
   }
-  return kNull;
 }
 
-void BufferCache::map_insert(const PageId& id, std::uint32_t slot) {
-  const std::uint32_t tag = tag_of(id);
-  std::size_t pos = tag & map_mask_;
-  while (map_[pos].slot != kNull) pos = (pos + 1) & map_mask_;
-  map_[pos] = Bucket{tag, slot};
+const BufferCache::FileSpan* BufferCache::find_file(Inode inode) const {
+  if (memo_ < files_.size() && files_[memo_].inode == inode) return &files_[memo_];
+  const auto it = std::lower_bound(files_.begin(), files_.end(), inode, below);
+  return it != files_.end() && it->inode == inode ? &*it : nullptr;
 }
 
-void BufferCache::map_erase(std::uint32_t slot) {
-  std::size_t hole = tag_of(arena_[slot].id) & map_mask_;
-  while (map_[hole].slot != slot) hole = (hole + 1) & map_mask_;
-  // Backward-shift deletion keeps probe sequences unbroken without
-  // tombstones: any entry displaced past the hole moves into it.
-  for (std::size_t next = (hole + 1) & map_mask_; map_[next].slot != kNull;
-       next = (next + 1) & map_mask_) {
-    const std::size_t home = map_[next].tag & map_mask_;
-    if (((next - home) & map_mask_) >= ((next - hole) & map_mask_)) {
-      map_[hole] = map_[next];
-      hole = next;
-    }
+BufferCache::FileHandle BufferCache::file(Inode inode) {
+  if (const FileSpan* known = find_file(inode)) {
+    return memo_ = static_cast<FileHandle>(known - files_.data());
   }
-  map_[hole].slot = kNull;
+  const auto it = std::lower_bound(files_.begin(), files_.end(), inode, below);
+  memo_ = static_cast<FileHandle>(it - files_.begin());
+  files_.insert(it, FileSpan{inode, static_cast<std::uint32_t>(index_.size()), 0});
+  return memo_;
+}
+
+std::uint32_t BufferCache::slot_of(const PageId& id) const {
+  const FileSpan* f = find_file(id.inode);
+  return f != nullptr && id.index < f->pages ? index_[f->base + id.index] : kNull;
+}
+
+std::uint32_t BufferCache::cell(FileHandle f, std::uint64_t page) {
+  FileSpan& span = files_[f];
+  if (page >= span.pages) grow(span, page);
+  return span.base + static_cast<std::uint32_t>(page);
+}
+
+void BufferCache::grow(FileSpan& span, std::uint64_t page) {
+  const bool at_end = span.base + std::uint64_t{span.pages} == index_.size();
+  const std::uint64_t base = at_end ? span.base : index_.size();
+  // Positions stay below kNull. In a Simulator every indexed page lies in a
+  // compiled extent (plus one readahead window) that FileLayout has fitted
+  // on the disk, so this bound only stops direct API use.
+  const std::uint64_t limit = kNull - base;
+  FF_REQUIRE(page < limit, "buffer cache: page index too large for 32-bit positions");
+  const std::uint64_t pages =
+      std::min(std::max(page + 1, 2 * std::uint64_t{span.pages}), limit);
+  index_.resize(base + pages, kNull);
+  for (std::uint32_t p = 0; !at_end && p < span.pages; ++p) {
+    const std::uint32_t s = index_[base + p] = index_[span.base + p];
+    if (s != kNull) arena_[s].cell = static_cast<std::uint32_t>(base + p);
+  }
+  span.base = static_cast<std::uint32_t>(base);
+  span.pages = static_cast<std::uint32_t>(pages);
 }
 
 std::uint32_t BufferCache::alloc_slot() {
@@ -113,9 +120,8 @@ void BufferCache::chain_unlink(Chain& c, std::uint32_t s) {
   --c.size;
 }
 
-bool BufferCache::lookup(const PageId& id, Seconds /*now*/) {
+bool BufferCache::count_lookup(std::uint32_t s) {
   ++stats_.lookups;
-  const std::uint32_t s = map_find(id);
   if (s == kNull) return false;
   if (arena_[s].where == Where::kA1out) {
     ++stats_.ghost_hits;
@@ -130,30 +136,54 @@ bool BufferCache::lookup(const PageId& id, Seconds /*now*/) {
   return true;
 }
 
-bool BufferCache::contains(const PageId& id) const {
-  const std::uint32_t s = map_find(id);
-  return s != kNull && arena_[s].where != Where::kA1out;
+bool BufferCache::lookup(const PageId& id, Seconds /*now*/) {
+  return count_lookup(slot_of(id));
+}
+
+bool BufferCache::contains(const PageId& id) const { return resident(slot_of(id)); }
+
+bool BufferCache::contains_range(Inode inode, std::uint64_t first,
+                                 std::uint64_t end) const {
+  if (first >= end) return true;
+  const FileSpan* f = find_file(inode);
+  if (f == nullptr || end > f->pages) return false;
+  for (std::uint64_t p = first; p < end; ++p) {
+    if (!resident(index_[f->base + p])) return false;
+  }
+  return true;
+}
+
+bool BufferCache::read_page(FileHandle f, std::uint64_t page, bool demanded,
+                            Seconds now, std::vector<DirtyPage>& flushed) {
+  const std::uint32_t c = cell(f, page);
+  if (demanded ? count_lookup(index_[c]) : resident(index_[c])) return true;
+  insert_new(c, PageId{files_[f].inode, page}, /*dirty=*/false, now, flushed);
+  return false;
+}
+
+void BufferCache::write_page(FileHandle f, std::uint64_t page, Seconds now,
+                             std::vector<DirtyPage>& flushed) {
+  const std::uint32_t c = cell(f, page);
+  const std::uint32_t s = index_[c];
+  if (!resident(s)) {
+    insert_new(c, PageId{files_[f].inode, page}, /*dirty=*/true, now, flushed);
+    return;
+  }
+  if (!arena_[s].dirty) mark_dirty(s, now);
+  if (arena_[s].where == Where::kAm && am_.head != s) {
+    chain_unlink(am_, s);
+    chain_push_front(am_, s);
+  }
 }
 
 void BufferCache::fill(const PageId& id, Seconds now,
                        std::vector<DirtyPage>& flushed) {
-  const std::uint32_t s = map_find(id);
-  if (s != kNull && arena_[s].where != Where::kA1out) return;  // Resident.
-  insert_new(id, /*dirty=*/false, now, flushed);
+  read_page(file(id.inode), id.index, /*demanded=*/false, now, flushed);
 }
 
 void BufferCache::write(const PageId& id, Seconds now,
                         std::vector<DirtyPage>& flushed) {
-  const std::uint32_t s = map_find(id);
-  if (s != kNull && arena_[s].where != Where::kA1out) {
-    if (!arena_[s].dirty) mark_dirty(s, now);
-    if (arena_[s].where == Where::kAm && am_.head != s) {
-      chain_unlink(am_, s);
-      chain_push_front(am_, s);
-    }
-    return;
-  }
-  insert_new(id, /*dirty=*/true, now, flushed);
+  write_page(file(id.inode), id.index, now, flushed);
 }
 
 std::vector<DirtyPage> BufferCache::fill(const PageId& id, Seconds now) {
@@ -218,12 +248,12 @@ void BufferCache::dirty_unlink(std::uint32_t s) {
   sl.dirty_prev = sl.dirty_next = kNull;
 }
 
-void BufferCache::insert_new(const PageId& id, bool dirty, Seconds now,
-                             std::vector<DirtyPage>& flushed) {
+void BufferCache::insert_new(std::uint32_t c, const PageId& id, bool dirty,
+                             Seconds now, std::vector<DirtyPage>& flushed) {
   make_room(flushed);
   ++stats_.insertions;
-  // Re-find after make_room: evicting may have trimmed this id's ghost slot.
-  const std::uint32_t ghost = map_find(id);
+  // Re-read after make_room: evicting may have trimmed this id's ghost slot.
+  const std::uint32_t ghost = index_[c];
   std::uint32_t s;
   if (ghost != kNull) {
     // Re-reference of a recently evicted page: admit straight to Am.
@@ -235,7 +265,8 @@ void BufferCache::insert_new(const PageId& id, bool dirty, Seconds now,
   } else {
     s = alloc_slot();
     arena_[s].id = id;
-    map_insert(id, s);
+    arena_[s].cell = c;
+    index_[c] = s;
     chain_push_front(a1in_, s);
     arena_[s].where = Where::kA1in;
   }
@@ -257,13 +288,13 @@ void BufferCache::make_room(std::vector<DirtyPage>& flushed) {
     }
     chain_unlink(a1in_, victim);
     ++stats_.evictions;
-    // The victim becomes a ghost in place: same slot, same map entry.
+    // The victim becomes a ghost in place: same slot, same index cell.
     sl.where = Where::kA1out;
     chain_push_front(a1out_, victim);
     while (a1out_.size > kout_) {
       const std::uint32_t g = a1out_.tail;
       chain_unlink(a1out_, g);
-      map_erase(g);
+      index_[arena_[g].cell] = kNull;
       free_slot(g);
     }
   } else {
@@ -274,16 +305,15 @@ void BufferCache::make_room(std::vector<DirtyPage>& flushed) {
       dirty_unlink(victim);
     }
     chain_unlink(am_, victim);
-    map_erase(victim);
+    index_[sl.cell] = kNull;
     free_slot(victim);
     ++stats_.evictions;
   }
 }
 
 void BufferCache::mark_clean(const PageId& id) {
-  const std::uint32_t s = map_find(id);
-  if (s == kNull || arena_[s].where == Where::kA1out) return;
-  if (arena_[s].dirty) dirty_unlink(s);
+  const std::uint32_t s = slot_of(id);
+  if (resident(s) && arena_[s].dirty) dirty_unlink(s);
 }
 
 void BufferCache::append_dirty_pages(std::vector<DirtyPage>& out) const {
@@ -322,7 +352,7 @@ void BufferCache::clear() {
   dirty_list_ = Chain{};
   arena_.clear();  // Keeps the reserved capacity.
   free_head_ = kNull;
-  for (auto& b : map_) b.slot = kNull;
+  std::fill(index_.begin(), index_.end(), kNull);
 }
 
 }  // namespace flexfetch::os

@@ -14,15 +14,17 @@
 // Storage layout: each page (resident or ghost) lives in one slot of an arena
 // reserved for capacity + kout slots and appended to on first use, once the
 // free list of recycled slots is empty. The queues and the age-ordered dirty
-// list are intrusive chains of slot indices. A fixed-size open-addressing
-// table of 8-byte buckets (low 32 hash bits as a tag, plus the slot; a tag
-// match is confirmed against the slot's id) maps PageId -> slot, and is all
-// that construction writes. After that no operation allocates: evicted dirty
-// pages are appended to a caller-owned scratch buffer.
+// list are intrusive chains of slot indices. A per-file page index, shaped
+// like Linux's page cache, maps pages to slots: one flat array holds a span
+// per file (page p is cell base + p, kNull when absent); a slot records its
+// cell. Once a run's files are registered no operation allocates: evicted
+// dirty pages go to a caller-owned scratch buffer, and only a page past its
+// file's span grows the span (geometrically, so O(log) times per file).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "os/page.hpp"
@@ -60,6 +62,25 @@ struct DirtyPage {
 class BufferCache {
  public:
   explicit BufferCache(BufferCacheConfig config = {});
+
+  /// Sizes the page index of each file of `extents` (inode -> bytes).
+  void register_files(const std::map<Inode, Bytes>& extents);
+
+  /// A file's index entry; valid until a new file is added.
+  using FileHandle = std::uint32_t;
+  /// Resolves `inode`, adding an empty entry for a new file.
+  FileHandle file(Inode inode);
+
+  /// One page of a read: a demanded page is looked up (counted; promoted on
+  /// a hit), a readahead page only checked; a miss is filled. Returns true
+  /// if the page was resident.
+  bool read_page(FileHandle f, std::uint64_t page, bool demanded, Seconds now,
+                 std::vector<DirtyPage>& flushed);
+  void write_page(FileHandle f, std::uint64_t page, Seconds now,
+                  std::vector<DirtyPage>& flushed);
+
+  /// True if every page of [first, end) of `inode` is resident.
+  bool contains_range(Inode inode, std::uint64_t first, std::uint64_t end) const;
 
   /// True and promotes the page if resident (a cache hit).
   bool lookup(const PageId& id, Seconds now);
@@ -113,6 +134,7 @@ class BufferCache {
 
   struct Slot {
     PageId id;
+    std::uint32_t cell = kNull;        ///< Its entry in index_.
     std::uint32_t prev = kNull;        ///< Queue chain.
     std::uint32_t next = kNull;        ///< Queue chain, or free-list next.
     std::uint32_t dirty_prev = kNull;  ///< Dirty chain, valid iff dirty.
@@ -130,16 +152,23 @@ class BufferCache {
     std::size_t size = 0;
   };
 
-  struct Bucket {
-    std::uint32_t tag = 0;       ///< Low 32 bits of PageIdHash; home = tag & mask.
-    std::uint32_t slot = kNull;  ///< kNull = empty bucket.
+  struct FileSpan {  // Page p of the file has its slot in index_[base + p].
+    Inode inode;
+    std::uint32_t base, pages;
   };
 
-  // Open-addressing table (linear probe, backward-shift deletion); sized at
-  // construction so it never rehashes.
-  std::uint32_t map_find(const PageId& id) const;
-  void map_insert(const PageId& id, std::uint32_t slot);
-  void map_erase(std::uint32_t slot);
+  bool resident(std::uint32_t s) const {
+    return s != kNull && arena_[s].where != Where::kA1out;
+  }
+  static bool below(const FileSpan& f, Inode inode) { return f.inode < inode; }
+  const FileSpan* find_file(Inode inode) const;  ///< nullptr if unknown.
+  std::uint32_t slot_of(const PageId& id) const;  ///< kNull if not indexed.
+  /// index_ cell of `page`, growing the span to reach it.
+  std::uint32_t cell(FileHandle f, std::uint64_t page);
+  /// At least doubles `span` to cover `page`: in place if it ends index_,
+  /// else moved to the end (its slots' cells follow).
+  void grow(FileSpan& span, std::uint64_t page);
+  bool count_lookup(std::uint32_t s);  ///< A demand lookup; true on a hit.
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t s);
@@ -153,7 +182,7 @@ class BufferCache {
   /// Ensures a free resident slot, evicting per 2Q; collects evicted dirty
   /// pages.
   void make_room(std::vector<DirtyPage>& flushed);
-  void insert_new(const PageId& id, bool dirty, Seconds now,
+  void insert_new(std::uint32_t c, const PageId& id, bool dirty, Seconds now,
                   std::vector<DirtyPage>& flushed);
 
   std::size_t capacity_;
@@ -162,8 +191,9 @@ class BufferCache {
 
   std::vector<Slot> arena_;  ///< Reserved for capacity_ + kout_ slots.
   std::uint32_t free_head_ = kNull;  ///< Recycled slots only.
-  std::vector<Bucket> map_;
-  std::size_t map_mask_ = 0;
+  std::vector<FileSpan> files_;       ///< Sorted by inode.
+  std::vector<std::uint32_t> index_;  ///< Every file's span of slots.
+  FileHandle memo_ = kNull;           ///< The last file() result.
 
   Chain a1in_;   ///< head = newest, tail = FIFO eviction end.
   Chain am_;     ///< head = MRU, tail = LRU.

@@ -12,26 +12,27 @@ FileLayout::FileLayout(Bytes capacity, std::uint64_t seed, Bytes min_gap,
 }
 
 void FileLayout::ensure(trace::Inode inode, Bytes size) {
-  auto it = start_.find(inode);
-  if (it != start_.end()) {
-    Bytes& ext = extent_[inode];
-    if (size > ext) {
+  // next_free_ and every file's start + extent stay <= capacity_, so each
+  // difference below is non-negative and no comparison can wrap.
+  auto it = files_.find(inode);
+  if (it != files_.end()) {
+    Placement& f = it->second;
+    if (size > f.extent) {
+      FF_REQUIRE(size <= capacity_ - f.start, "file layout: disk capacity exhausted");
       // Growing the extent keeps the file contiguous by model assumption;
       // if the growth collides with the next allocation we still treat the
       // address range as logically contiguous for seek purposes.
-      if (it->second + size > next_free_) next_free_ = it->second + size;
-      ext = size;
+      if (f.start + size > next_free_) next_free_ = f.start + size;
+      f.extent = size;
     }
     return;
   }
   const Bytes gap =
       min_gap_ + Bytes{rng_.uniform_int(0, (max_gap_ - min_gap_).value())};
+  FF_REQUIRE(gap <= capacity_ - next_free_ && size <= capacity_ - next_free_ - gap,
+             "file layout: disk capacity exhausted");
   const Bytes start = next_free_ + gap;
-  if (start + size > capacity_) {
-    throw ConfigError("file layout: disk capacity exhausted");
-  }
-  start_[inode] = start;
-  extent_[inode] = size;
+  files_.emplace(inode, Placement{.start = start, .extent = size});
   next_free_ = start + size;
 }
 
@@ -40,18 +41,18 @@ void FileLayout::place_all(const std::map<trace::Inode, Bytes>& extents) {
 }
 
 bool FileLayout::contains(trace::Inode inode) const {
-  return start_.contains(inode);
+  return files_.contains(inode);
 }
 
 Bytes FileLayout::extent_of(trace::Inode inode) const {
-  auto it = extent_.find(inode);
-  return it == extent_.end() ? Bytes{} : it->second;
+  auto it = files_.find(inode);
+  return it == files_.end() ? Bytes{} : it->second.extent;
 }
 
 Bytes FileLayout::lba(trace::Inode inode, Bytes offset) const {
-  auto it = start_.find(inode);
-  FF_REQUIRE(it != start_.end(), "file layout: unknown inode");
-  return it->second + offset;
+  auto it = files_.find(inode);
+  FF_REQUIRE(it != files_.end(), "file layout: unknown inode");
+  return it->second.start + offset;
 }
 
 }  // namespace flexfetch::os

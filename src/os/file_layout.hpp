@@ -25,6 +25,7 @@ class FileLayout {
   /// file is already placed with at least this extent; growing a file moves
   /// its tail allocation only in the trivial in-place case, otherwise the
   /// extent is simply extended — contiguity is an explicit model assumption).
+  /// Throws ConfigError if the file would end past the disk's capacity.
   void ensure(trace::Inode inode, Bytes size);
 
   /// Places every file of a trace's extent map (in inode order).
@@ -38,17 +39,18 @@ class FileLayout {
   /// Known size of a file (0 if never placed).
   Bytes extent_of(trace::Inode inode) const;
 
-  std::size_t file_count() const { return start_.size(); }
+  std::size_t file_count() const { return files_.size(); }
   Bytes bytes_allocated() const { return next_free_; }
 
  private:
+  struct Placement { Bytes start, extent; };
+
   Bytes capacity_;
   Bytes min_gap_;
   Bytes max_gap_;
   Bytes next_free_ = Bytes{0};
   Rng rng_;
-  std::unordered_map<trace::Inode, Bytes> start_;
-  std::unordered_map<trace::Inode, Bytes> extent_;
+  std::unordered_map<trace::Inode, Placement> files_;
 };
 
 }  // namespace flexfetch::os

@@ -46,28 +46,20 @@ void Vfs::plan_read(const trace::SyscallRecord& r, Seconds now,
                         std::min(want_end, page_end_index(Bytes{}, file_extent)));
   }
 
+  const BufferCache::FileHandle file = cache_.file(r.inode);
   std::optional<PageRange> open_run;
   for (std::uint64_t p = want.first_page; p < want_end; ++p) {
-    const PageId id{r.inode, p};
+    // Readahead pages do not count as application lookups. A miss is filled
+    // (evicted dirty pages land in the plan's buffer) and joins a fetch run.
     const bool demanded = p >= demand_first && p < demand_end;
-    bool resident;
-    if (demanded) {
-      resident = cache_.lookup(id, now);
-      if (resident) ++plan.pages_hit;
-    } else {
-      // Readahead pages do not count as application lookups.
-      resident = cache_.contains(id);
-    }
-    if (resident) {
+    if (cache_.read_page(file, p, demanded, now, plan.evicted_dirty)) {
+      if (demanded) ++plan.pages_hit;
       if (open_run) {
         plan.fetches.push_back(*open_run);
         open_run.reset();
       }
       continue;
     }
-    // Miss: schedule the fetch and make the page resident; evicted dirty
-    // pages land directly in the plan's buffer.
-    cache_.fill(id, now, plan.evicted_dirty);
     if (open_run && open_run->end_page() == p) {
       ++open_run->page_count;
     } else {
@@ -90,8 +82,9 @@ void Vfs::plan_write(const trace::SyscallRecord& r, Seconds now,
                      std::uint64_t first, std::uint64_t end, WritePlan& plan) {
   FF_REQUIRE(r.op == trace::OpType::kWrite, "plan_write: not a write record");
   plan.reset();
+  const BufferCache::FileHandle file = cache_.file(r.inode);
   for (std::uint64_t p = first; p < end; ++p) {
-    cache_.write(PageId{r.inode, p}, now, plan.evicted_dirty);
+    cache_.write_page(file, p, now, plan.evicted_dirty);
     ++plan.pages_dirtied;
   }
 }
@@ -120,17 +113,7 @@ void Vfs::complete_writeback(const std::vector<DirtyPage>& pages) {
 std::vector<PageRange> Vfs::coalesce(std::vector<PageId> pages) {
   std::sort(pages.begin(), pages.end());
   pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-  std::vector<PageRange> out;
-  for (const PageId& id : pages) {
-    if (!out.empty() && out.back().inode == id.inode &&
-        out.back().end_page() == id.index) {
-      ++out.back().page_count;
-    } else {
-      out.push_back(PageRange{.inode = id.inode, .first_page = id.index,
-                              .page_count = 1});
-    }
-  }
-  return out;
+  return coalesce_ordered(pages);
 }
 
 void Vfs::coalesce_ordered_into(const std::vector<PageId>& pages,
@@ -160,10 +143,7 @@ bool Vfs::range_cached(Inode inode, Bytes offset, Bytes size) const {
 
 bool Vfs::range_cached_pages(Inode inode, std::uint64_t first_page,
                              std::uint64_t end_page) const {
-  for (std::uint64_t p = first_page; p < end_page; ++p) {
-    if (!cache_.contains(PageId{inode, p})) return false;
-  }
-  return true;
+  return cache_.contains_range(inode, first_page, end_page);
 }
 
 }  // namespace flexfetch::os

@@ -106,7 +106,7 @@ Simulator::Simulator(SimConfig config, std::vector<ProgramSpec> programs,
     Program p;
     p.spec = std::move(spec);
     // The compiled trace carries the closed-loop think times, per-record
-    // page spans, and file extents/sets derived once from the trace.
+    // page spans, and file extents derived once from the trace.
     if (p.spec.compiled != nullptr) {
       p.ct = p.spec.compiled.get();
     } else {
@@ -118,7 +118,7 @@ Simulator::Simulator(SimConfig config, std::vector<ProgramSpec> programs,
         t.empty() ? next_pgid++ : t[0].pgid;
     processes_.register_program(pgid, p.spec.name, p.spec.profiled);
     if (p.spec.disk_pinned) {
-      for (const auto ino : p.ct->file_set()) pinned_inodes_.insert(ino);
+      for (const auto& file : p.ct->file_extents()) pinned_inodes_.insert(file.first);
     }
     programs_.push_back(std::move(p));
   }
@@ -162,8 +162,9 @@ void Simulator::start() {
     const Program& p = programs_[i];
     if (p.spec.trace.empty()) continue;
     // Pre-place the program's files so disk layout follows inode order,
-    // mirroring the paper's sequential file mapping.
+    // mirroring the paper's sequential file mapping, and size their indexes.
     layout_.place_all(p.ct->file_extents());
+    vfs_.cache().register_files(p.ct->file_extents());
     schedule(p.ct->start_time(), EventKind::kSyscall, i);
     ++active_programs_;
     expected_requests += p.ct->data_transfers();

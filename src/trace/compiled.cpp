@@ -35,7 +35,6 @@ CompiledTrace::CompiledTrace(const Trace& trace) {
       first_page_[i] = page_of(r.offset);
       end_page_[i] = page_end_of(r.offset, r.size);
       ++data_transfers_;
-      file_set_.insert(r.inode);
       Bytes& e = file_extents_[r.inode];
       e = std::max(e, r.end_offset());
     } else {

@@ -6,8 +6,8 @@
 //   * think times  — closed-loop gap before record i (traced inter-call
 //     distance minus the traced service duration of record i-1),
 //   * page spans   — first/end page index of each data transfer,
-//   * file extents — per-inode maximum end offset (disk layout placement),
-//   * file set     — distinct inodes touched by data transfers.
+//   * file extents — per-inode maximum end offset; its keys are the files
+//     the trace touches (disk layout placement, page-index sizing).
 // All of these are pure functions of the trace, so sharing one CompiledTrace
 // across simulations (e.g. every cell of a sweep grid) is safe and changes
 // no simulated number.
@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -45,7 +44,6 @@ class CompiledTrace {
   std::size_t data_transfers() const { return data_transfers_; }
 
   const std::map<Inode, Bytes>& file_extents() const { return file_extents_; }
-  const std::set<Inode>& file_set() const { return file_set_; }
 
  private:
   std::vector<Seconds> think_;
@@ -54,7 +52,6 @@ class CompiledTrace {
   std::size_t data_transfers_ = 0;
   Seconds start_time_ = Seconds{0.0};
   std::map<Inode, Bytes> file_extents_;
-  std::set<Inode> file_set_;
 };
 
 }  // namespace flexfetch::trace

@@ -1,8 +1,10 @@
 #include "trace/trace_io.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
-#include <sstream>
 #include <string_view>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/format.hpp"
@@ -10,20 +12,40 @@
 namespace flexfetch::trace {
 namespace {
 
-OpType parse_op(std::string_view s) {
+[[noreturn]] void fail(std::size_t lineno, const std::string& what) {
+  throw TraceError("line " + std::to_string(lineno) + ": " + what);
+}
+
+OpType parse_op(std::string_view s, std::size_t lineno) {
   if (s == "open") return OpType::kOpen;
   if (s == "close") return OpType::kClose;
   if (s == "read") return OpType::kRead;
   if (s == "write") return OpType::kWrite;
   if (s == "seek") return OpType::kSeek;
-  throw TraceError("unknown op '" + std::string(s) + "'");
+  fail(lineno, "unknown op '" + std::string(s) + "'");
 }
 
-std::vector<std::string> split(const std::string& line, char sep) {
-  std::vector<std::string> out;
-  std::string field;
-  std::istringstream is(line);
-  while (std::getline(is, field, sep)) out.push_back(field);
+/// Reads the whole token as a T with std::from_chars: no whitespace, '+',
+/// trailing characters or out-of-range value (for unsigned T, no '-').
+/// A double (timestamp, duration) must also be finite and non-negative.
+template <typename T>
+T parse_field(std::string_view tok, const char* field, std::size_t lineno) {
+  T v{};
+  const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+  bool ok = ec == std::errc{} && end == tok.data() + tok.size();
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v) && v >= 0.0;
+  if (!ok) fail(lineno, std::string("bad ") + field + " '" + std::string(tok) + "'");
+  return v;
+}
+
+/// Splits on every `sep`: n separators always give n + 1 fields.
+std::vector<std::string_view> split(std::string_view line, char sep) {
+  std::vector<std::string_view> out;
+  for (std::size_t pos; (pos = line.find(sep)) != std::string_view::npos;) {
+    out.push_back(line.substr(0, pos));
+    line.remove_prefix(pos + 1);
+  }
+  out.push_back(line);
   return out;
 }
 
@@ -59,26 +81,22 @@ Trace read_trace(std::istream& is) {
     if (line.empty() || line[0] == '#') continue;
     const auto fields = split(line, ',');
     if (fields.size() != 9) {
-      throw TraceError("line " + std::to_string(lineno) + ": expected 9 fields, got " +
-                       std::to_string(fields.size()));
+      fail(lineno, "expected 9 fields, got " + std::to_string(fields.size()));
     }
-    try {
-      SyscallRecord r;
-      r.timestamp = Seconds{std::stod(fields[0])};
-      r.op = parse_op(fields[1]);
-      r.pid = static_cast<Pid>(std::stoul(fields[2]));
-      r.pgid = static_cast<ProcessGroup>(std::stoul(fields[3]));
-      r.fd = static_cast<Fd>(std::stoi(fields[4]));
-      r.inode = std::stoull(fields[5]);
-      r.offset = Bytes{std::stoull(fields[6])};
-      r.size = Bytes{std::stoull(fields[7])};
-      r.duration = Seconds{std::stod(fields[8])};
-      trace.push_back(r);
-    } catch (const TraceError&) {
-      throw;
-    } catch (const std::exception& e) {
-      throw TraceError("line " + std::to_string(lineno) + ": " + e.what());
+    SyscallRecord r;
+    r.timestamp = Seconds{parse_field<double>(fields[0], "timestamp", lineno)};
+    r.op = parse_op(fields[1], lineno);
+    r.pid = parse_field<Pid>(fields[2], "pid", lineno);
+    r.pgid = parse_field<ProcessGroup>(fields[3], "pgid", lineno);
+    r.fd = parse_field<Fd>(fields[4], "fd", lineno);  // Signed: -1 is "none".
+    r.inode = parse_field<Inode>(fields[5], "inode", lineno);
+    r.offset = Bytes{parse_field<std::uint64_t>(fields[6], "offset", lineno)};
+    r.size = Bytes{parse_field<std::uint64_t>(fields[7], "size", lineno)};
+    if (r.size.value() > ~std::uint64_t{0} - r.offset.value()) {
+      fail(lineno, "offset + size overflows 64 bits");
     }
+    r.duration = Seconds{parse_field<double>(fields[8], "duration", lineno)};
+    trace.push_back(r);
   }
   return trace;
 }

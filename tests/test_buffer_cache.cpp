@@ -213,6 +213,43 @@ TEST(BufferCache, RejectsBadFractions) {
   }
 }
 
+TEST(BufferCache, PageIndexPastThirtyTwoBitsThrows) {
+  // Inserting a page grows its file's index to reach it; a page that no
+  // 32-bit position can reach is rejected before anything is allocated.
+  BufferCache c(small_config(16));
+  for (const std::uint64_t page : {std::uint64_t{1} << 32, std::uint64_t{1} << 52,
+                                   ~std::uint64_t{0}}) {
+    EXPECT_THROW(c.fill(PageId{1, page}, Seconds{0.0}), ConfigError) << page;
+    EXPECT_THROW(c.write(PageId{1, page}, Seconds{0.0}), ConfigError) << page;
+    // Queries on such a page find it absent.
+    EXPECT_FALSE(c.lookup(PageId{1, page}, Seconds{0.0}));
+    EXPECT_FALSE(c.contains(PageId{1, page}));
+    EXPECT_NO_THROW(c.mark_clean(PageId{1, page}));
+  }
+  EXPECT_EQ(c.size(), 0u);
+}
+
+TEST(BufferCache, RegisteredAndGrownFilesKeepTheirPages) {
+  BufferCache c(small_config(64));
+  c.register_files({{7, 3 * kPageSize}, {9, Bytes{1}}});
+  c.register_files({{8, 2 * kPageSize}, {9, 4 * kPageSize}});  // Merged in.
+  for (const Inode f : {Inode{7}, Inode{8}, Inode{9}}) {
+    for (std::uint64_t p = 0; p < 6; ++p) c.fill(PageId{f, p}, Seconds{0.0});
+  }
+  c.write(PageId{8, 40}, Seconds{1.0});  // Grows file 8's index.
+  for (const Inode f : {Inode{7}, Inode{8}, Inode{9}}) {
+    for (std::uint64_t p = 0; p < 6; ++p) EXPECT_TRUE(c.contains(PageId{f, p}));
+    EXPECT_FALSE(c.contains(PageId{f, 6}));
+  }
+  EXPECT_TRUE(c.contains(PageId{8, 40}));
+  EXPECT_TRUE(c.contains_range(8, 0, 6));
+  EXPECT_FALSE(c.contains_range(8, 0, 7));
+  EXPECT_FALSE(c.contains_range(6, 0, 1));  // Never seen.
+  EXPECT_TRUE(c.contains_range(6, 3, 3));   // Empty range.
+  ASSERT_EQ(c.dirty_pages().size(), 1u);
+  EXPECT_EQ(c.dirty_pages()[0].page, (PageId{8, 40}));
+}
+
 // --- Edge semantics pinned before the slot-arena rewrite (kept verbatim
 // --- afterwards; the arena must reproduce all of them bit-for-bit).
 

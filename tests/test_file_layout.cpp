@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/error.hpp"
 
 namespace flexfetch::os {
@@ -86,6 +88,25 @@ TEST(FileLayout, PlaceAllOrdersByInode) {
 TEST(FileLayout, CapacityExhaustionThrows) {
   FileLayout layout(1 * kMiB, 1, Bytes{0}, Bytes{0});
   EXPECT_THROW(layout.ensure(1, 2 * kMiB), ConfigError);
+}
+
+TEST(FileLayout, SizeThatWrapsPastCapacityThrows) {
+  // start + size would wrap 64 bits to a small address.
+  FileLayout layout;
+  EXPECT_THROW(layout.ensure(1, Bytes{~std::uint64_t{0} - 10}), ConfigError);
+  EXPECT_FALSE(layout.contains(1));
+  EXPECT_EQ(layout.bytes_allocated(), Bytes{0});
+}
+
+TEST(FileLayout, GrowingPastCapacityThrows) {
+  FileLayout layout(1 * kMiB, 1, Bytes{0}, Bytes{0});
+  layout.ensure(1, Bytes{100});
+  EXPECT_THROW(layout.ensure(1, 1 * kMiB + Bytes{1}), ConfigError);
+  EXPECT_THROW(layout.ensure(1, Bytes{~std::uint64_t{0}}), ConfigError);
+  EXPECT_EQ(layout.extent_of(1), Bytes{100});
+  EXPECT_EQ(layout.bytes_allocated(), Bytes{100});
+  layout.ensure(1, 1 * kMiB);  // Exactly the capacity still fits.
+  EXPECT_EQ(layout.bytes_allocated(), 1 * kMiB);
 }
 
 TEST(FileLayout, RejectsBadConstruction) {

@@ -1,10 +1,14 @@
 // Asserts the zero-allocation contract of the arena hot path: after
-// construction (BufferCache, from its first use on) or warm-up (CScan),
+// construction and registration of its files (BufferCache, from its first
+// use on, as in a Simulator run) or warm-up (CScan),
 // BufferCache::lookup/fill/write/clear and CScanScheduler::submit/dispatch
-// perform no heap allocation. Global operator new/delete are replaced with
-// counting versions (this test lives in its own binary for that reason).
+// perform no heap allocation. Pages of files never registered grow their
+// page index on first touch; a repeated pass over them allocates nothing.
+// Global operator new/delete are replaced with counting versions (this test
+// lives in its own binary for that reason).
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <vector>
 
@@ -51,6 +55,9 @@ TEST(HotpathAllocation, BufferCacheSteadyStateIsAllocationFree) {
   BufferCacheConfig config;
   config.capacity_pages = 1024;
   BufferCache cache(config);
+  // Every page below lies in file 1's registered extent, as every page of a
+  // Simulator run lies in a compiled extent that Simulator::start registers.
+  cache.register_files({{1, (4096 + 8192) * kPageSize}});
 
   std::vector<DirtyPage> flushed;
   flushed.reserve(4096);
@@ -88,7 +95,8 @@ TEST(HotpathAllocation, BufferCacheFirstUseIsAllocationFree) {
   // from the capacity the constructor reserved. Fill from empty past
   // capacity + kout distinct pages, writes mixed in, so the arena reaches
   // its full size, the ghost list overflows and freed slots are recycled;
-  // then clear() and fill again.
+  // then clear() and fill again. The three files are registered first, in
+  // two batches as two programs register theirs: file 2 lands between.
   for (const std::size_t capacity : {std::size_t{1024}, BufferCacheConfig{}.capacity_pages}) {
     BufferCacheConfig config;
     config.capacity_pages = capacity;
@@ -96,6 +104,8 @@ TEST(HotpathAllocation, BufferCacheFirstUseIsAllocationFree) {
     std::vector<DirtyPage> flushed;
     flushed.reserve(pages);
     BufferCache cache(config);
+    cache.register_files({{1, pages * kPageSize}, {3, pages * kPageSize}});
+    cache.register_files({{2, pages * kPageSize}});
 
     const std::uint64_t before = allocation_count();
     Seconds now = Seconds{0.0};
@@ -116,6 +126,35 @@ TEST(HotpathAllocation, BufferCacheFirstUseIsAllocationFree) {
         << "BufferCache (capacity " << capacity << ") allocated " << (after - before)
         << " times on first use";
   }
+}
+
+TEST(HotpathAllocation, BufferCacheRepeatedPassAfterGrowthIsAllocationFree) {
+  // No file is registered: the first pass grows every file's page index
+  // (interleaved files, so spans both grow in place and move), which may
+  // allocate. The same pass again finds every span large enough.
+  BufferCacheConfig config;
+  config.capacity_pages = 1024;
+  BufferCache cache(config);
+  std::vector<DirtyPage> flushed;
+  flushed.reserve(8192);
+  const auto pass = [&](Seconds now) {
+    for (std::uint64_t i = 0; i < 20000; ++i) {
+      now += Seconds{0.001};
+      const PageId id{1 + i % 4, 3 * (i / 4)};
+      if (!cache.lookup(id, now)) cache.fill(id, now, flushed);
+      if (i % 5 == 0) cache.write(PageId{5, i}, now, flushed);
+      if (i % 7 == 0) cache.mark_clean(PageId{5, i / 2});
+      if (flushed.size() > 4096) flushed.clear();
+    }
+  };
+  pass(Seconds{0.0});
+  flushed.clear();
+
+  const std::uint64_t before = allocation_count();
+  pass(Seconds{100.0});
+  const std::uint64_t after = allocation_count();
+  EXPECT_EQ(after - before, 0u)
+      << "BufferCache repeated pass allocated " << (after - before) << " times";
 }
 
 TEST(HotpathAllocation, CScanSteadyStateIsAllocationFree) {
@@ -139,7 +178,7 @@ TEST(HotpathAllocation, CScanSteadyStateIsAllocationFree) {
 
 TEST(HotpathAllocation, ConstructionAllocatesOnlyFixedStructures) {
   // Sanity check that the counter works at all: construction must allocate
-  // (the reserved arena and the open-addressing table).
+  // (the reserved arena).
   const std::uint64_t before = allocation_count();
   BufferCache cache;
   EXPECT_GT(allocation_count(), before);

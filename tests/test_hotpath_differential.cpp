@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -377,82 +378,120 @@ TEST(HotpathDifferential, ArenaCacheMatchesReferenceWithOutOfOrderTimestamps) {
   }
 }
 
-TEST(HotpathDifferential, TagCollidingIdsStayDistinct) {
-  // Two ids whose PageIdHash values share their low 32 bits get equal
-  // bucket tags and the same home bucket, so only the slot's id can tell
-  // them apart. Among 2^18 indices of one file several such pairs exist.
-  std::unordered_map<std::uint32_t, std::uint64_t> first_index;
-  std::optional<std::pair<PageId, PageId>> twins;
-  for (std::uint64_t i = 0; i < (std::uint64_t{1} << 18) && !twins; ++i) {
-    const auto tag = static_cast<std::uint32_t>(PageIdHash{}(PageId{1, i}));
-    if (const auto [it, fresh] = first_index.emplace(tag, i); !fresh) {
-      twins.emplace(PageId{1, it->second}, PageId{1, i});
+/// Drives a page-indexed cache and the reference in lockstep. After every
+/// op it compares the return value, the residency of every probe page, the
+/// dirty list (order and times), the size and the stats.
+class Lockstep {
+ public:
+  Lockstep(const BufferCacheConfig& config, std::vector<PageId> probes)
+      : arena(config), ref(config), probes_(std::move(probes)) {}
+
+  void lookup(const PageId& id) {
+    tick();
+    EXPECT_EQ(arena.lookup(id, now_), ref.lookup(id, now_)) << where(id);
+    check(id);
+  }
+  void fill(const PageId& id) {
+    tick();
+    EXPECT_TRUE(same_dirty(arena.fill(id, now_), ref.fill(id, now_))) << where(id);
+    check(id);
+  }
+  void write(const PageId& id) {
+    tick();
+    EXPECT_TRUE(same_dirty(arena.write(id, now_), ref.write(id, now_))) << where(id);
+    check(id);
+  }
+  void mark_clean(const PageId& id) {
+    tick();
+    arena.mark_clean(id);
+    ref.mark_clean(id);
+    check(id);
+  }
+
+  BufferCache arena;
+  Reference2Q ref;
+
+ private:
+  void tick() {
+    now_ += Seconds{0.001};
+    ++op_;
+  }
+  std::string where(const PageId& id) const {
+    return "op " + std::to_string(op_) + " on page (" + std::to_string(id.inode) +
+           ", " + std::to_string(id.index) + ")";
+  }
+  void check(const PageId& id) {
+    for (const PageId& p : probes_) {
+      EXPECT_EQ(arena.contains(p), ref.contains(p))
+          << where(id) << ", probe (" << p.inode << ", " << p.index << ")";
+    }
+    EXPECT_TRUE(same_dirty(arena.dirty_pages(), ref.dirty_pages())) << where(id);
+    EXPECT_EQ(arena.size(), ref.size()) << where(id);
+    EXPECT_TRUE(same_stats(arena.stats(), ref.stats())) << where(id);
+  }
+
+  std::vector<PageId> probes_;
+  Seconds now_ = Seconds{0.0};
+  int op_ = 0;
+};
+
+TEST(HotpathDifferential, FileBoundariesAndSpanGrowthMatchReference) {
+  BufferCacheConfig config;
+  config.capacity_pages = 16;  // kin = 4, kout = 8.
+  std::vector<PageId> probes;
+  for (const Inode f : {Inode{1}, Inode{2}, Inode{3}}) {
+    for (std::uint64_t p = 0; p < 12; ++p) probes.push_back(PageId{f, p});
+    for (const std::uint64_t p : {40u, 100u, 200u}) probes.push_back(PageId{f, p});
+  }
+
+  {
+    // Files 1 and 2 back to back in the index: file 1's last page and
+    // file 2's page 0 are neighbouring cells, and page 8 of each lies past
+    // its span. Every op lands on one of those edges.
+    Lockstep c(config, probes);
+    c.arena.register_files({{1, 8 * kPageSize}, {2, 8 * kPageSize}});
+    const PageId edges[] = {{1, 7}, {1, 8}, {2, 0}, {2, 7}, {2, 8}, {1, 0}};
+    for (std::uint64_t round = 0; round < 6; ++round) {
+      for (const PageId& id : edges) {
+        c.lookup(id);
+        if ((round + id.index) % 3 == 0) {
+          c.write(id);
+        } else {
+          c.fill(id);
+        }
+        if (round == 3) c.mark_clean(id);
+      }
+      // Churn a third file through, so edges are evicted, ghosted and
+      // re-admitted to Am between rounds.
+      for (std::uint64_t p = 0; p < 10; ++p) c.fill(PageId{3, 10 * round + p});
     }
   }
-  ASSERT_TRUE(twins.has_value());
-  const PageId a = twins->first;
-  const PageId b = twins->second;
-  const auto filler = [](std::uint64_t k) { return PageId{2, k}; };
 
-  BufferCacheConfig config;
-  config.capacity_pages = 8;  // kin = 2, kout = 4.
-  BufferCache c(config);
-  std::vector<DirtyPage> flushed;
+  {
+    // Grow a file while its pages are resident in A1in and Am, dirty and
+    // ghosted: file 1's span sits before file 2's, so reaching page 100
+    // moves it to the end of the index. Then file 2's span moves, grows in
+    // place at the end, and file 1's moves again.
+    Lockstep c(config, probes);
+    c.arena.register_files({{1, 8 * kPageSize}, {2, 8 * kPageSize}});
+    for (std::uint64_t p = 0; p < 8; ++p) c.fill(PageId{1, p});
+    for (std::uint64_t p = 0; p < 8; ++p) c.fill(PageId{2, p});
+    for (std::uint64_t p = 0; p < 4; ++p) c.fill(PageId{3, p});  // Ghosts 1/0..3.
+    c.write(PageId{1, 0});  // Ghost hits: to Am, dirty.
+    c.write(PageId{1, 1});
+    c.write(PageId{1, 6});  // Dirty in A1in.
+    c.lookup(PageId{1, 0});  // Am order: 1/0 is MRU.
 
-  // Fill: a resident and dirty, its twin absent; then both resident.
-  c.write(a, Seconds{1.0}, flushed);
-  EXPECT_TRUE(c.contains(a));
-  EXPECT_FALSE(c.contains(b));
-  EXPECT_FALSE(c.lookup(b, Seconds{1.0}));
-  c.fill(b, Seconds{1.0}, flushed);
-  EXPECT_TRUE(c.lookup(a, Seconds{1.0}));
-  EXPECT_TRUE(c.lookup(b, Seconds{1.0}));
-  EXPECT_EQ(c.stats().hits, 2u);
-  EXPECT_EQ(c.stats().ghost_hits, 0u);
-
-  // Ghosting: the seventh filler evicts a, the A1in FIFO tail.
-  for (std::uint64_t k = 0; k < 7; ++k) c.fill(filler(k), Seconds{2.0}, flushed);
-  ASSERT_EQ(flushed.size(), 1u);
-  EXPECT_EQ(flushed[0].page, a);
-  EXPECT_FALSE(c.contains(a));
-  EXPECT_TRUE(c.contains(b));
-  EXPECT_FALSE(c.lookup(a, Seconds{2.0}));
-  EXPECT_EQ(c.stats().ghost_hits, 1u);
-  EXPECT_TRUE(c.lookup(b, Seconds{2.0}));
-
-  // Re-admission: a's ghost goes to Am; making room ghosts b.
-  c.write(a, Seconds{3.0}, flushed);
-  EXPECT_EQ(flushed.size(), 1u);  // b was clean.
-  EXPECT_TRUE(c.contains(a));
-  EXPECT_FALSE(c.contains(b));
-  EXPECT_FALSE(c.lookup(b, Seconds{3.0}));
-  EXPECT_EQ(c.stats().ghost_hits, 2u);
-  c.fill(b, Seconds{4.0}, flushed);  // b's ghost goes to Am too.
-  EXPECT_TRUE(c.lookup(a, Seconds{4.0}));
-  EXPECT_TRUE(c.lookup(b, Seconds{4.0}));  // Am LRU is now a.
-  ASSERT_EQ(c.dirty_pages().size(), 1u);
-  EXPECT_EQ(c.dirty_pages()[0].page, a);
-
-  // Eviction: re-admitting four filler ghosts shrinks A1in to kin, so the
-  // next new page evicts the Am LRU, a, and leaves its twin resident.
-  for (std::uint64_t k = 0; k < 4; ++k) c.fill(filler(k), Seconds{5.0}, flushed);
-  EXPECT_EQ(flushed.size(), 1u);
-  c.fill(filler(100), Seconds{6.0}, flushed);
-  ASSERT_EQ(flushed.size(), 2u);
-  EXPECT_EQ(flushed[1].page, a);
-  EXPECT_EQ(flushed[1].dirtied_at, Seconds{3.0});
-  EXPECT_FALSE(c.contains(a));
-  EXPECT_TRUE(c.contains(b));
-  const auto ghost_hits = c.stats().ghost_hits;
-  EXPECT_FALSE(c.lookup(a, Seconds{6.0}));  // Am evictions leave no ghost.
-  EXPECT_EQ(c.stats().ghost_hits, ghost_hits);
-  EXPECT_TRUE(c.lookup(b, Seconds{6.0}));
-  EXPECT_EQ(c.dirty_count(), 0u);
-
-  // And a comes back as a new page beside its twin.
-  c.fill(a, Seconds{7.0}, flushed);
-  EXPECT_TRUE(c.contains(a));
-  EXPECT_TRUE(c.contains(b));
+    c.fill(PageId{1, 100});  // File 1's span moves past file 2's.
+    c.lookup(PageId{1, 2});  // Ghosts survived the move.
+    c.write(PageId{1, 3});
+    c.write(PageId{2, 9});   // File 2's span moves.
+    c.write(PageId{2, 40});  // ... and grows in place.
+    c.fill(PageId{1, 200});  // File 1's span moves again.
+    // Drain: every page is evicted in 2Q order, dirty ones reported.
+    for (std::uint64_t p = 0; p < 40; ++p) c.fill(PageId{3, 100 + p});
+    for (const PageId& id : probes) c.lookup(id);
+  }
 }
 
 TEST(HotpathDifferential, FlatCScanMatchesReferenceOverRandomOps) {
