@@ -79,7 +79,7 @@ fleet::FleetConfig config_from(const FleetFlags& f) {
   config.workers = f.workers;
   config.telemetry = f.telemetry;
   if (!f.workload_scale.empty()) {
-    bench::parse_number(f.workload_scale, config.tuning.workload_scale);
+    parse_whole(f.workload_scale, config.tuning.workload_scale);
   }
   return config;
 }
@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
     flags.parse(argc, argv);
     double scale = 1.0;
     if (!f.workload_scale.empty() &&
-        !(bench::parse_number(f.workload_scale, scale) && std::isfinite(scale) &&
+        !(parse_whole(f.workload_scale, scale) && std::isfinite(scale) &&
           scale > 0.0)) {
       flags.usage_and_exit(argv[0], "bad number for --workload-scale",
                            f.workload_scale.c_str());

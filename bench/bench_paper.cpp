@@ -1,5 +1,5 @@
 // bench_paper: Tables 1-3 and Figures 1-5 of the paper's evaluation
-// (Section 3.3) and nine ablations beyond it, in one program.
+// (Section 3.3) and ten ablations beyond it, in one program.
 //
 //   ./build/bench/bench_paper <name> [flags]
 //
@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "device/disk.hpp"
 #include "device/wnic.hpp"
 #include "harness.hpp"
+#include "medium/multi_client.hpp"
 #include "policies/factory.hpp"
 #include "policies/fixed.hpp"
 #include "sim/simulator.hpp"
@@ -198,8 +201,6 @@ void run_lossrate_sweep(const workloads::ScenarioBundle& scenario, int jobs) {
     cell.scenario = &scenario;
     cell.policy = "flexfetch";
     cell.loss_rate = rate;
-    cell.axis = "loss_rate";
-    cell.axis_value = rate;
     cells.push_back(std::move(cell));
   }
   const auto results = sim::run_sweep(cells, {.jobs = jobs});
@@ -614,6 +615,148 @@ void entry(const bench::SweepSpec& spec) {
 
 }  // namespace battery
 
+// Ablation J — shared-medium contention (src/medium/): N clients share one
+// AP and one 2-slot server that reserves a slot for clients below 30%
+// battery, crossed with the server's admission rule and the clients'
+// data-source policy. Client i replays paper scenario i mod 5 built from
+// seed 1 + i. Its link quality falls with i mod 4, client 0 starts at 12%
+// battery and the rest ramp from 40% to full. Every client runs its WNIC
+// at 3 Mb/s, the goodput of a busy AP that fell back from 11 to 5.5 Mb/s
+// PHY: at the full 11 Mb/s the paper's sparse traces leave the medium over
+// 90% idle, nothing contends, and every cell degenerates to N independent
+// runs. The cells run on the calling thread (the whole ablation takes about
+// half a second), so the entry honours no flag. The summary holds two
+// comparisons at N = 4:
+//  * split shift — FlexFetch's network share of bytes on the shared medium
+//    against the same four clients each run alone on a private channel
+//    (the solo baseline): contention raises the priced cost of every
+//    network fetch, so bytes move to the disk;
+//  * battery-aware benefit — the low-battery client's energy with
+//    wnic-only clients under battery against fifo admission: the reserved
+//    slot cuts its CAM queueing time.
+namespace contention {
+
+constexpr int kClients[] = {1, 2, 4, 8, 16};
+const char* const kAdmissions[] = {"fifo", "battery"};
+const char* const kPolicies[] = {"flexfetch", "wnic-only"};
+constexpr int kSummaryN = 4;  // The cell of both summary comparisons.
+
+/// Runs clients [first, first + count) of an n-client mix, each under its
+/// own `policy` instance, on one medium and one server.
+medium::MultiClientResult run_clients(
+    int first, int count, int n, const char* admission, const char* policy,
+    const std::vector<workloads::ScenarioBundle>& bundles) {
+  medium::MultiClientConfig config;
+  config.server.capacity = 2;
+  config.server.reserved_slots = 1;
+  config.server.low_battery_threshold = 0.30;
+  config.server.admission = admission;
+  std::vector<std::unique_ptr<sim::Policy>> owned;
+  std::vector<medium::ClientSpec> specs;
+  for (int i = first; i < first + count; ++i) {
+    const workloads::ScenarioBundle& b = bundles[static_cast<std::size_t>(i)];
+    owned.push_back(
+        policies::make_policy(policy, b.profiles, &b.oracle_future, 0.25));
+    medium::ClientSpec spec;
+    spec.name = b.name + "#" + std::to_string(i);
+    spec.programs = b.programs;
+    spec.policy = owned.back().get();
+    spec.config.wnic = spec.config.wnic.with_bandwidth_mbps(3.0);
+    spec.link_quality = 1.0 - 0.05 * static_cast<double>(i % 4);
+    spec.battery.initial_fraction =
+        i == 0   ? 0.12
+        : n <= 2 ? 0.40
+                 : 0.40 + 0.60 * static_cast<double>(i - 1) /
+                              static_cast<double>(n - 2);
+    specs.push_back(std::move(spec));
+  }
+  return medium::MultiClientSim(config, std::move(specs)).run();
+}
+
+/// Client totals of one run: energy in joules and bytes by device.
+struct Totals {
+  double energy_j = 0.0;
+  std::uint64_t net_bytes = 0;
+  std::uint64_t disk_bytes = 0;
+
+  void add(const sim::SimResult& c) {
+    energy_j += c.total_energy().value();
+    net_bytes += c.net_bytes.value();
+    disk_bytes += c.disk_bytes.value();
+  }
+  double net_fraction() const {
+    const double total = static_cast<double>(net_bytes + disk_bytes);
+    return total > 0.0 ? static_cast<double>(net_bytes) / total : 0.0;
+  }
+};
+
+void entry(const bench::SweepSpec&) {
+  std::printf("=== Ablation J: shared-medium contention ===\n");
+  std::printf("(client i replays scenario i mod 5 at 3 Mb/s; 2-slot server, "
+              "1 slot reserved below 30%% battery)\n\n");
+  using Builder = workloads::ScenarioBundle (*)(std::uint64_t);
+  const Builder builders[] = {
+      workloads::scenario_grep_make, workloads::scenario_mplayer,
+      workloads::scenario_thunderbird, workloads::scenario_forced_spinup,
+      workloads::scenario_stale_acroread};
+  std::vector<workloads::ScenarioBundle> bundles;
+  for (int i = 0; i < kClients[std::size(kClients) - 1]; ++i) {
+    bundles.push_back(builders[i % 5](1 + static_cast<std::uint64_t>(i)));
+  }
+
+  double ff_n1 = 0.0, ff_contended = 0.0, low_fifo_j = 0.0, low_battery_j = 0.0;
+  for (const int n : kClients) {
+    for (const char* admission : kAdmissions) {
+      for (const char* policy : kPolicies) {
+        const auto r = run_clients(0, n, n, admission, policy, bundles);
+        Totals t;
+        for (const auto& c : r.clients) t.add(c);
+        std::printf("N=%-3d %-8s %-16s energy=%10.1f J  net%%=%5.1f  "
+                    "queue_waits=%llu  wait=%.2f s\n",
+                    n, admission, policy, t.energy_j, 100.0 * t.net_fraction(),
+                    static_cast<unsigned long long>(r.server.queue_waits),
+                    r.server.queue_wait.value());
+        const bool fifo = std::string_view(admission) == "fifo";
+        const bool ff = std::string_view(policy) == "flexfetch";
+        if (n == 1 && fifo && ff) ff_n1 = t.net_fraction();
+        if (n != kSummaryN) continue;
+        if (ff && fifo) ff_contended = t.net_fraction();
+        if (!ff) {
+          (fifo ? low_fifo_j : low_battery_j) = r.clients[0].total_energy().value();
+        }
+      }
+    }
+  }
+
+  Totals solo;
+  for (int i = 0; i < kSummaryN; ++i) {
+    solo.add(
+        run_clients(i, 1, kSummaryN, "fifo", "flexfetch", bundles).clients[0]);
+  }
+  std::printf("solo baseline (N=%d mix, private channels): net%%=%5.1f "
+              "energy=%8.1f J\n\n",
+              kSummaryN, 100.0 * solo.net_fraction(), solo.energy_j);
+
+  std::printf("summary (fractions: FlexFetch's network share of bytes; "
+              "energies: client 0 at N=%d under wnic-only)\n", kSummaryN);
+  const auto pct = [](const char* key, double fraction) {
+    std::printf("  %-36s %7.1f%%\n", key, 100.0 * fraction);
+  };
+  const auto joules = [](const char* key, double j) {
+    std::printf("  %-36s %7.1f J\n", key, j);
+  };
+  pct("flexfetch_net_fraction_n1", ff_n1);
+  pct("flexfetch_net_fraction_contended", ff_contended);
+  pct("flexfetch_net_fraction_solo", solo.net_fraction());
+  pct("flexfetch_split_shift", solo.net_fraction() - ff_contended);
+  joules("low_battery_client_energy_fifo_j", low_fifo_j);
+  joules("low_battery_client_energy_battery_j", low_battery_j);
+  joules("battery_aware_savings_j", low_fifo_j - low_battery_j);
+  std::printf("\n");
+}
+
+}  // namespace contention
+
 // The harness flags, as bits of Entry::honours.
 constexpr unsigned kJobs = 1;       // --jobs N: sweep worker threads.
 constexpr unsigned kFaultSeed = 2;  // --fault-seed S: inject generate_schedule(S).
@@ -645,6 +788,7 @@ const Entry kEntries[] = {
     {"timeout", 0, timeout::entry},
     {"overhead", 0, overhead::entry},
     {"battery", kJobs, battery::entry},
+    {"contention", 0, contention::entry},
 };
 
 void print_usage(std::FILE* to, const char* argv0) {

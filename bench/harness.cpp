@@ -107,9 +107,9 @@ void ParsedFlags::parse(int argc, const char* const* argv) const {
     }
     bool ok = true;
     if (matched->int_target != nullptr) {
-      ok = parse_number(value, *matched->int_target);
+      ok = parse_whole(value, *matched->int_target);
     } else if (matched->u64_target != nullptr) {
-      ok = parse_number(value, *matched->u64_target);
+      ok = parse_whole(value, *matched->u64_target);
     } else {
       *matched->string_target = value;
     }
@@ -187,8 +187,6 @@ std::vector<sim::SweepCell> figure_cells(
       cell.scenario = &scenario;
       cell.policy = p;
       cell.wnic = base.with_latency(units::ms(ms));
-      cell.axis = "latency_ms";
-      cell.axis_value = ms;
       cell.config.faults = fault_schedule;
       cells.push_back(std::move(cell));
     }
@@ -199,8 +197,6 @@ std::vector<sim::SweepCell> figure_cells(
       cell.scenario = &scenario;
       cell.policy = p;
       cell.wnic = base.with_bandwidth_mbps(mbps);
-      cell.axis = "bandwidth_mbps";
-      cell.axis_value = mbps;
       cell.config.faults = fault_schedule;
       cells.push_back(std::move(cell));
     }

@@ -5,15 +5,13 @@
 // grid order.
 #pragma once
 
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <string_view>
-#include <system_error>
 #include <vector>
 
+#include "common/format.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "workloads/scenarios.hpp"
@@ -63,11 +61,11 @@ void print_figure(const std::string& figure_label,
 /// flags it understands (`add`), then calls `parse` once: anything that is
 /// not a registered flag prints a generated usage message and exits with
 /// status 2 — unknown flags are never silently ignored. So does a numeric
-/// value that is not a whole in-range number (`--jobs abc`,
-/// `--fault-seed 7x`, `--fault-seed -1`, `--users 1e5`). Adding a new flag
-/// is one `add` call; spelling variants (`--flag VALUE` and
-/// `--flag=VALUE`), the per-flag usage listing that an unknown argument
-/// triggers, and `--help`/`-h` all come for free.
+/// value that parse_whole rejects (`--jobs abc`, `--fault-seed 7x`,
+/// `--fault-seed -1`, `--users 1e5`). Adding a new flag is one `add` call;
+/// spelling variants (`--flag VALUE` and `--flag=VALUE`), the per-flag
+/// usage listing that an unknown argument triggers, and `--help`/`-h` all
+/// come for free.
 class ParsedFlags {
  public:
   /// Bare boolean flag: `--name` sets *target to true.
@@ -100,17 +98,6 @@ class ParsedFlags {
   void print_flag_list(std::FILE* to) const;
   std::vector<Flag> flags_;
 };
-
-/// Reads the whole of `text` as a T within T's range (std::from_chars: no
-/// whitespace, no '+', and no '-' for an unsigned T). A double may still
-/// come out infinite or NaN ("inf", "nan"); callers that need a finite
-/// value check for it.
-template <typename T>
-bool parse_number(std::string_view text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc{} && ptr == end;
-}
 
 /// Splits a comma-separated flag value ("a,b,c"); "" gives one empty field.
 std::vector<std::string> split_csv(const std::string& s);

@@ -53,8 +53,9 @@ medium::MultiClientResult run_cafe(const std::string& admission,
     spec.programs = b.programs;
     spec.policy = policies.back().get();
     // The cafe AP has rate-adapted down to a 5.5 Mb/s PHY (~3 Mb/s MAC
-    // goodput) — the same crowded-cell preset bench_contention uses, and
-    // the regime where contention genuinely moves FlexFetch's decisions.
+    // goodput) — the same crowded-cell preset `bench_paper contention`
+    // uses, and the regime where contention genuinely moves FlexFetch's
+    // decisions.
     spec.config.wnic = spec.config.wnic.with_bandwidth_mbps(3.0);
     spec.link_quality = 1.0 - 0.05 * static_cast<double>(i);  // Seat draw.
     spec.battery.initial_fraction = i == 0 ? 0.15 : 0.80;

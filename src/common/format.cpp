@@ -26,6 +26,12 @@ std::string format_seconds(Seconds s) {
 
 std::string format_joules(Joules j) { return strprintf("%.1f J", j.value()); }
 
+std::string format_round_trip(double v) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, end);
+}
+
 std::string strprintf(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

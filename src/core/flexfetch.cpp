@@ -1,8 +1,6 @@
 #include "core/flexfetch.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/error.hpp"
 #include "faults/audit.hpp"
@@ -347,15 +345,6 @@ void FlexFetchPolicy::finish_stage(sim::SimContext& ctx) {
       FF_EMIT_INSTANT(ctx.recorder(), kProfileOverride, now,
                       static_cast<double>(stage_idx_),
                       device::to_string(winner));
-    }
-    if (std::getenv("FF_DEBUG_AUDIT") != nullptr) {
-      std::fprintf(stderr,
-                   "[audit] t=%.1f stage=%zu choice=%s profile=%s "
-                   "actual=(%.1fs %.1fJ) alt=(%.1fs %.1fJ) winner=%s\n",
-                   now.value(), stage_idx_, device::to_string(choice_),
-                   device::to_string(profile_choice_), actual.time.value(),
-                   actual.energy.value(), alternative.time.value(),
-                   alternative.energy.value(), device::to_string(winner));
     }
     // The profile regains control only when its own choice for the stage
     // proved the more energy-efficient one (Section 2.3.1: "Only when the

@@ -3,12 +3,20 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/format.hpp"
+#include "trace/trace_io.hpp"
 
 namespace flexfetch::core {
+
+namespace {
+
+[[noreturn]] void fail(std::size_t lineno, const std::string& what) {
+  throw TraceError("profile line " + std::to_string(lineno) + ": " + what);
+}
+
+}  // namespace
 
 Profile Profile::from_trace(const trace::Trace& trace, Seconds burst_threshold) {
   return Profile(trace.name(), extract_bursts(trace, burst_threshold));
@@ -58,15 +66,13 @@ std::vector<Bytes> Profile::byte_prefix_sums() const {
 void Profile::write(std::ostream& os) const {
   os << "# flexfetch-profile v1 name=" << program_ << '\n';
   for (const auto& b : bursts_) {
-    os << strprintf("burst,%.9f,%.9f,%.9f,%zu\n", b.think_before.value(),
-                    b.start.value(), b.duration.value(),
-                    b.requests.size());
+    os << "burst," << format_round_trip(b.think_before.value()) << ','
+       << format_round_trip(b.start.value()) << ','
+       << format_round_trip(b.duration.value()) << ',' << b.requests.size()
+       << '\n';
     for (const auto& r : b.requests) {
-      os << strprintf("req,%llu,%llu,%llu,%d\n",
-                      static_cast<unsigned long long>(r.inode),
-                      static_cast<unsigned long long>(r.offset.value()),
-                      static_cast<unsigned long long>(r.size.value()),
-                      r.is_write ? 1 : 0);
+      os << "req," << r.inode << ',' << r.offset.value() << ','
+         << r.size.value() << ',' << (r.is_write ? 1 : 0) << '\n';
     }
   }
 }
@@ -83,41 +89,42 @@ Profile Profile::read(std::istream& is) {
 
   IOBurst* open = nullptr;
   std::size_t expected = 0;
+  std::size_t lineno = 1;
   while (std::getline(is, line)) {
+    ++lineno;
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string tag;
-    std::getline(ls, tag, ',');
-    if (tag == "burst") {
+    const auto f = trace::split_fields(line, ',');
+    if (f[0] != "burst" && f[0] != "req") {
+      fail(lineno, "unknown tag '" + std::string(f[0]) + "'");
+    }
+    if (f.size() != 5) {
+      fail(lineno, "expected 5 fields, got " + std::to_string(f.size()));
+    }
+    if (f[0] == "burst") {
       if (open != nullptr && open->requests.size() != expected) {
-        throw TraceError("profile: truncated burst");
+        fail(lineno, "truncated burst");
       }
       IOBurst b;
-      char c = 0;
-      double think = 0.0, start = 0.0, duration = 0.0;
-      ls >> think >> c >> start >> c >> duration >> c >> expected;
-      b.think_before = Seconds{think};
-      b.start = Seconds{start};
-      b.duration = Seconds{duration};
+      b.think_before = Seconds{trace::parse_field<double>(f[1], "think", lineno)};
+      b.start = Seconds{trace::parse_field<double>(f[2], "start", lineno)};
+      b.duration = Seconds{trace::parse_field<double>(f[3], "duration", lineno)};
+      expected = trace::parse_field<std::size_t>(f[4], "request count", lineno);
       p.bursts_.push_back(b);
       open = &p.bursts_.back();
-    } else if (tag == "req") {
-      if (open == nullptr) throw TraceError("profile: request before burst");
-      BurstRequest r;
-      char c = 0;
-      int w = 0;
-      std::uint64_t offset = 0, size = 0;
-      ls >> r.inode >> c >> offset >> c >> size >> c >> w;
-      r.offset = Bytes{offset};
-      r.size = Bytes{size};
-      r.is_write = w != 0;
-      open->requests.push_back(r);
     } else {
-      throw TraceError("profile: unknown tag '" + tag + "'");
+      if (open == nullptr) fail(lineno, "request before burst");
+      BurstRequest r;
+      r.inode = trace::parse_field<trace::Inode>(f[1], "inode", lineno);
+      r.offset = Bytes{trace::parse_field<std::uint64_t>(f[2], "offset", lineno)};
+      r.size = Bytes{trace::parse_field<std::uint64_t>(f[3], "size", lineno)};
+      const auto is_write = trace::parse_field<unsigned>(f[4], "is_write", lineno);
+      if (is_write > 1) fail(lineno, "is_write must be 0 or 1");
+      r.is_write = is_write == 1;
+      open->requests.push_back(r);
     }
   }
   if (open != nullptr && open->requests.size() != expected) {
-    throw TraceError("profile: truncated final burst");
+    fail(lineno, "truncated final burst");
   }
   return p;
 }

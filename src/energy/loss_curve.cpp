@@ -1,12 +1,12 @@
 #include "energy/loss_curve.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 
 namespace flexfetch::energy {
 
@@ -108,7 +108,7 @@ std::string HorizonRatioCurve::name() const {
 namespace {
 
 /// Splits "p1:p2:p3" into doubles. Each token must be one whole, finite
-/// number in double's range as std::from_chars reads it (no whitespace,
+/// number in double's range as parse_whole reads it (no whitespace,
 /// '+', hex or underflow to zero); throws ConfigError otherwise.
 std::vector<double> parse_params(std::string_view text,
                                  const std::string& spec) {
@@ -117,9 +117,7 @@ std::vector<double> parse_params(std::string_view text,
     const std::size_t colon = text.find(':');
     const std::string_view tok = text.substr(0, colon);
     double v = 0.0;
-    const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-    FF_REQUIRE(ec == std::errc{} && end == tok.data() + tok.size() &&
-                   std::isfinite(v),
+    FF_REQUIRE(parse_whole(tok, v) && std::isfinite(v),
                "loss curve: bad parameter '" + std::string(tok) + "' in '" +
                    spec + "'");
     out.push_back(v);

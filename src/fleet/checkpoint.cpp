@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 
 namespace flexfetch::fleet {
 
@@ -65,20 +66,16 @@ struct Cursor {
     if (next() != keyword) ok = false;
   }
 
-  std::uint64_t u64() {
-    const std::string_view tok = next();
-    char buf[32];
-    if (!ok || tok.empty() || tok.size() >= sizeof(buf)) {
-      ok = false;
-      return 0;
-    }
-    tok.copy(buf, tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(buf, &end, 10);
-    if (end != buf + tok.size()) ok = false;
-    return static_cast<std::uint64_t>(v);
+  /// The whole next token as a T in T's range (parse_whole: no sign on
+  /// an unsigned T, no '+', no trailing characters).
+  template <typename T>
+  T whole() {
+    T v{};
+    if (!parse_whole(next(), v)) ok = false;
+    return v;
   }
+
+  std::uint64_t u64() { return whole<std::uint64_t>(); }
 
   double dbl() {
     const std::string_view tok = next();
@@ -250,7 +247,8 @@ bool parse_meta_line(std::string_view line, ShardMeta* out) {
   c.expect("meta");
   c.expect("shard");
   ShardMeta m;
-  m.shard = static_cast<int>(c.u64());
+  m.shard = c.whole<int>();
+  if (m.shard < 0) c.ok = false;
   c.expect("wall");
   m.wall_seconds = c.dbl();
   c.expect("rss");

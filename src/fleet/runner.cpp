@@ -26,8 +26,6 @@ sim::SweepCell cell_for(const UserParams& u, const PopulationGenerator& gen,
                   .with_latency(units::ms(u.latency_ms))
                   .with_bandwidth_mbps(u.bandwidth_mbps);
   cell.loss_rate = gen.loss_rate_for(u);
-  cell.axis = "user";
-  cell.axis_value = static_cast<double>(u.index);
 
   // Per-user file layout, so no two users share on-disk placement.
   cell.config.layout_seed = u.stream_seed;

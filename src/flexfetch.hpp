@@ -10,7 +10,6 @@
 
 #include "common/format.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/units.hpp"
 
 #include "trace/builder.hpp"

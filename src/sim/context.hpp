@@ -6,7 +6,6 @@
 #include "device/wnic.hpp"
 #include "energy/battery.hpp"
 #include "os/file_layout.hpp"
-#include "os/process.hpp"
 #include "os/vfs.hpp"
 #include "telemetry/recorder.hpp"
 
@@ -20,13 +19,11 @@ namespace flexfetch::sim {
 class SimContext {
  public:
   SimContext(device::Disk& disk, device::Wnic& wnic, os::Vfs& vfs,
-             os::FileLayout& layout, os::ProcessTable& processes,
-             telemetry::Recorder* recorder = nullptr,
+             os::FileLayout& layout, telemetry::Recorder* recorder = nullptr,
              const faults::FaultSchedule* faults = nullptr,
              faults::SimAudit* audit = nullptr)
       : disk_(disk), wnic_(wnic), vfs_(vfs), layout_(layout),
-        processes_(processes), recorder_(recorder), faults_(faults),
-        audit_(audit) {}
+        recorder_(recorder), faults_(faults), audit_(audit) {}
 
   Seconds now() const { return now_; }
   void set_now(Seconds t) { now_ = t; }
@@ -39,7 +36,6 @@ class SimContext {
   os::Vfs& vfs() { return vfs_; }
   const os::Vfs& vfs() const { return vfs_; }
   os::FileLayout& layout() { return layout_; }
-  const os::ProcessTable& processes() const { return processes_; }
 
   /// The simulator's event recorder, or nullptr when telemetry is off.
   /// Policies may emit their own events through it.
@@ -67,7 +63,6 @@ class SimContext {
   device::Wnic& wnic_;
   os::Vfs& vfs_;
   os::FileLayout& layout_;
-  os::ProcessTable& processes_;
   telemetry::Recorder* recorder_ = nullptr;
   const faults::FaultSchedule* faults_ = nullptr;
   faults::SimAudit* audit_ = nullptr;

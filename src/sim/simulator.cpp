@@ -85,7 +85,7 @@ Simulator::Simulator(SimConfig config, std::vector<ProgramSpec> programs,
                     ? std::make_unique<telemetry::Recorder>(config.telemetry)
                     : nullptr),
       battery_(config.battery),  // Validates config.battery.
-      ctx_(disk_, wnic_, vfs_, layout_, processes_, recorder_.get(),
+      ctx_(disk_, wnic_, vfs_, layout_, recorder_.get(),
            config_.faults.empty() ? nullptr : &config_.faults,
            config_.audit.enabled ? &audit_.emplace(config_.audit) : nullptr) {
   FF_REQUIRE(!programs.empty(), "simulator: no programs");
@@ -101,7 +101,6 @@ Simulator::Simulator(SimConfig config, std::vector<ProgramSpec> programs,
     disk_.set_fault_schedule(&config_.faults.disk);
     wnic_.set_fault_schedule(&config_.faults.wnic);
   }
-  trace::ProcessGroup next_pgid = 1;
   for (auto& spec : programs) {
     Program p;
     p.spec = std::move(spec);
@@ -113,10 +112,6 @@ Simulator::Simulator(SimConfig config, std::vector<ProgramSpec> programs,
       p.owned = std::make_shared<trace::CompiledTrace>(p.spec.trace);
       p.ct = p.owned.get();
     }
-    const auto& t = p.spec.trace;
-    const trace::ProcessGroup pgid =
-        t.empty() ? next_pgid++ : t[0].pgid;
-    processes_.register_program(pgid, p.spec.name, p.spec.profiled);
     if (p.spec.disk_pinned) {
       for (const auto& file : p.ct->file_extents()) pinned_inodes_.insert(file.first);
     }

@@ -24,7 +24,6 @@
 #include "medium/link.hpp"
 #include "os/file_layout.hpp"
 #include "os/io_scheduler.hpp"
-#include "os/process.hpp"
 #include "os/vfs.hpp"
 #include "sim/context.hpp"
 #include "sim/policy.hpp"
@@ -192,7 +191,6 @@ class Simulator {
   device::Wnic wnic_;
   os::Vfs vfs_;
   os::FileLayout layout_;
-  os::ProcessTable processes_;
   os::CScanScheduler scheduler_;
   std::optional<hoard::SyncManager> sync_;
   std::optional<device::AdaptiveTimeoutController> timeout_controller_;

@@ -1,6 +1,5 @@
 #include "sim/sweep.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
@@ -9,40 +8,25 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <system_error>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 #include "common/thread_pool.hpp"
-#include "common/units.hpp"
 #include "policies/factory.hpp"
 
 namespace flexfetch::sim {
 
-JobsResolution resolve_jobs_detail(int requested) {
-  JobsResolution r;
-  r.requested = requested > 0 ? requested : 0;
-  if (requested > 0) {
-    r.effective = requested;
-    return r;
-  }
+int resolve_jobs(int requested) {
+  if (requested > 0) return requested;
   if (const char* env = std::getenv("FF_JOBS")) {
-    const char* end = env + std::strlen(env);
     int n = 0;
-    const auto [ptr, ec] = std::from_chars(env, end, n);
-    FF_REQUIRE(ec == std::errc{} && ptr == end && n > 0,
+    FF_REQUIRE(parse_whole(env, n) && n > 0,
                "FF_JOBS must be a positive integer, got '" + std::string(env) + "'");
-    r.effective = n;
-    r.from_env = true;
-    return r;
+    return n;
   }
   // Unset: clamp to what the host can actually run in parallel.
-  r.effective = static_cast<int>(ThreadPool::default_concurrency());
-  return r;
-}
-
-int resolve_jobs(int requested) {
-  return resolve_jobs_detail(requested).effective;
+  return static_cast<int>(ThreadPool::default_concurrency());
 }
 
 SimResult run_cell(const SweepCell& cell) {
@@ -207,12 +191,6 @@ void SweepAggregator::merge(const SweepAggregator& other) {
   for (const auto& [key, st] : other.strata_) strata_[key].merge(st);
 }
 
-void SweepAggregator::merge_stratum(const std::string& key,
-                                    const StratumAggregate& partial) {
-  cells_seen_ += partial.cells;
-  strata_[key].merge(partial);
-}
-
 void SweepAggregator::restore_stratum(std::string key,
                                       StratumAggregate partial) {
   FF_REQUIRE(!strata_.contains(key),
@@ -287,65 +265,6 @@ void write_json_string(std::ostream& os, const std::string& s) {
   os << '"';
 }
 
-}  // namespace
-
-void write_sweep_json(std::ostream& os, const std::vector<SweepCell>& cells,
-                      const std::vector<SimResult>& results,
-                      const SweepRunInfo& info) {
-  FF_REQUIRE(cells.size() == results.size(),
-             "write_sweep_json: cells/results size mismatch");
-  const unsigned hw = info.hardware_concurrency != 0
-                          ? info.hardware_concurrency
-                          : ThreadPool::default_concurrency();
-  os << "{\n";
-  os << "  \"jobs\": " << info.jobs << ",\n";
-  os << "  \"jobs_requested\": " << info.jobs_requested << ",\n";
-  os << "  \"hardware_concurrency\": " << hw << ",\n";
-  os << "  \"wall_seconds\": " << info.wall_seconds << ",\n";
-  os << "  \"serial_wall_seconds\": " << info.serial_wall_seconds << ",\n";
-  os << "  \"speedup\": " << info.speedup() << ",\n";
-  os << "  \"serial_fallback\": " << (info.serial_fallback ? "true" : "false")
-     << ",\n";
-  os << "  \"peak_rss_bytes\": " << info.peak_rss_bytes << ",\n";
-  os << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const SweepCell& c = cells[i];
-    const SimResult& r = results[i];
-    os << "    {\"scenario\": ";
-    write_json_string(os, c.scenario != nullptr ? c.scenario->name : "");
-    os << ", \"policy\": ";
-    write_json_string(os, c.policy);
-    if (!c.axis.empty()) {
-      os << ", \"axis\": ";
-      write_json_string(os, c.axis);
-      os << ", \"axis_value\": " << c.axis_value;
-    }
-    os << ", \"latency_ms\": " << (c.wnic.latency * 1e3).value();
-    os << ", \"bandwidth_mbps\": " << c.wnic.bandwidth / units::mbps(1.0);
-    os << ", \"energy_j\": " << r.total_energy().value();
-    os << ", \"disk_energy_j\": " << r.disk_energy().value();
-    os << ", \"wnic_energy_j\": " << r.wnic_energy().value();
-    os << ", \"makespan_s\": " << r.makespan.value();
-    os << ", \"io_time_s\": " << r.io_time.value();
-    if (!r.metrics.empty()) {
-      os << ", \"metrics\": {";
-      bool first = true;
-      for (const auto& [name, metric] : r.metrics.items()) {
-        if (!first) os << ", ";
-        first = false;
-        write_json_string(os, name);
-        os << ": " << metric.value;
-      }
-      os << "}";
-    }
-    os << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n";
-  os << "}\n";
-}
-
-namespace {
-
 void write_stat(std::ostream& os, const char* key, const RunningStat& s) {
   os << '"' << key << "\": {\"mean\": " << s.mean()
      << ", \"stddev\": " << s.stddev() << ", \"min\": " << s.min()
@@ -417,24 +336,6 @@ void write_strata_json(std::ostream& os, const SweepAggregator& agg,
     os << "}" << (++i < strata.size() ? "," : "") << "\n";
   }
   os << pad << "]";
-}
-
-void write_aggregate_json(std::ostream& os, const SweepAggregator& agg,
-                          const SweepRunInfo& info) {
-  const unsigned hw = info.hardware_concurrency != 0
-                          ? info.hardware_concurrency
-                          : ThreadPool::default_concurrency();
-  os << "{\n";
-  os << "  \"jobs\": " << info.jobs << ",\n";
-  os << "  \"jobs_requested\": " << info.jobs_requested << ",\n";
-  os << "  \"hardware_concurrency\": " << hw << ",\n";
-  os << "  \"wall_seconds\": " << info.wall_seconds << ",\n";
-  os << "  \"serial_fallback\": " << (info.serial_fallback ? "true" : "false")
-     << ",\n";
-  os << "  \"peak_rss_bytes\": " << info.peak_rss_bytes << ",\n";
-  os << "  \"cells\": " << agg.cells_seen() << ",\n";
-  write_strata_json(os, agg, 2);
-  os << "\n}\n";
 }
 
 }  // namespace flexfetch::sim

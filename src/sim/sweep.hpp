@@ -43,10 +43,6 @@ struct SweepCell {
   /// Maximum tolerable performance loss rate handed to the policy factory
   /// (FlexFetch variants and Oracle; ignored by the fixed policies).
   double loss_rate = 0.25;
-  /// Optional sweep-axis annotation carried through to the JSON emitter
-  /// (e.g. axis = "latency_ms", axis_value = 5.0).
-  std::string axis;
-  double axis_value = 0.0;
 };
 
 struct SweepOptions {
@@ -60,18 +56,6 @@ struct SweepOptions {
 /// FF_JOBS if set, else hardware concurrency. A set FF_JOBS must be a
 /// whole positive int; anything else throws ConfigError.
 int resolve_jobs(int requested);
-
-/// How a worker count was arrived at — recorded in sweep artifacts so a
-/// benchmark JSON says both what was asked for and what actually ran.
-struct JobsResolution {
-  int requested = 0;  ///< The --jobs flag value; 0 = auto.
-  int effective = 1;  ///< What resolve_jobs() settled on.
-  bool from_env = false;  ///< Effective count came from FF_JOBS.
-};
-
-/// resolve_jobs with provenance: unset (<= 0) requests clamp to the
-/// host's hardware_concurrency (via FF_JOBS if set).
-JobsResolution resolve_jobs_detail(int requested);
 
 /// Runs one cell: builds the policy and a fresh Simulator, returns the
 /// result. This is the unit of work the engine fans out.
@@ -200,16 +184,12 @@ class SweepAggregator {
   /// computed which partial and of completion order.
   void merge(const SweepAggregator& other);
 
-  /// Inserts/merges one externally reconstructed stratum partial; its
-  /// cells count toward cells_seen().
-  void merge_stratum(const std::string& key, const StratumAggregate& partial);
-
   /// Checkpoint-restore: inserts a reconstructed stratum verbatim. The
-  /// key must not already exist (ConfigError otherwise). Unlike
-  /// merge_stratum, no arithmetic touches the partial — counters merged
-  /// into a default-zero stratum would go through `0.0 + v`, which is
-  /// not the identity for every double — so a parsed checkpoint block
-  /// is bit-identical to the aggregator that was written.
+  /// key must not already exist (ConfigError otherwise). Unlike merge, no
+  /// arithmetic touches the partial — counters merged into a default-zero
+  /// stratum would go through `0.0 + v`, which is not the identity for
+  /// every double — so a parsed checkpoint block is bit-identical to the
+  /// aggregator that was written.
   void restore_stratum(std::string key, StratumAggregate partial);
 
   std::uint64_t cells_seen() const { return cells_seen_; }
@@ -222,62 +202,21 @@ class SweepAggregator {
   std::map<std::string, StratumAggregate> strata_;
 };
 
-/// Order-sensitive FNV-1a fold of every scalar write_sweep_json records
-/// for a cell (bit patterns, not rounded text). Two passes over the same
-/// grid produce equal digests iff every cell result is bit-identical, so
-/// one 64-bit value pins a whole grid's results.
+/// Order-sensitive FNV-1a fold of a cell's headline scalars (policy name,
+/// makespan, I/O time, energies, syscall/request/byte counts) as bit
+/// patterns, not rounded text. Two passes over the same grid produce equal
+/// digests iff every cell result is bit-identical, so one 64-bit value pins
+/// a whole grid's results.
 std::uint64_t fold_result_digest(std::uint64_t digest, const SimResult& result);
 
 /// Seed for fold_result_digest chains (FNV-1a offset basis).
 inline constexpr std::uint64_t kResultDigestSeed = 0xcbf29ce484222325ULL;
 
-/// Timing metadata recorded alongside the per-cell results.
-struct SweepRunInfo {
-  int jobs = 1;
-  /// The worker count asked for (0 = auto) before clamping/resolution.
-  int jobs_requested = 0;
-  /// Host cores at measurement time (contextualises the speedup; a 1-core
-  /// host cannot show one). Filled by write_sweep_json if left at 0.
-  unsigned hardware_concurrency = 0;
-  double wall_seconds = 0.0;
-  /// Wall-clock of a jobs=1 reference run of the same grid, if one was
-  /// taken (<= 0 means not measured).
-  double serial_wall_seconds = 0.0;
-  /// The run already was serial (effective jobs == 1), so no separate
-  /// jobs=1 baseline pass was taken — the single pass is its own
-  /// baseline and no speedup is measurable.
-  bool serial_fallback = false;
-  /// Peak resident set size of the measuring process (getrusage
-  /// ru_maxrss), measured by the bench harness just before emission;
-  /// 0 = not measured. Makes memory-boundedness claims checkable from
-  /// the JSON record instead of asserted.
-  std::uint64_t peak_rss_bytes = 0;
-
-  double speedup() const {
-    return (serial_wall_seconds > 0.0 && wall_seconds > 0.0)
-               ? serial_wall_seconds / wall_seconds
-               : 0.0;
-  }
-};
-
-/// Emits the machine-readable sweep record: run metadata plus one JSON
-/// object per cell (scenario, policy, wnic point, energy/time). Keys are
-/// stable across PRs so perf trajectories can be diffed.
-void write_sweep_json(std::ostream& os, const std::vector<SweepCell>& cells,
-                      const std::vector<SimResult>& results,
-                      const SweepRunInfo& info);
-
-/// Emits the aggregate sweep record: run metadata plus one JSON object
-/// per stratum with mean/stddev/min/max of the headline scalars, the
-/// merged scalar metrics, and bucket-quantile summaries of the merged
-/// histograms. Constant-size output however many cells streamed through.
-void write_aggregate_json(std::ostream& os, const SweepAggregator& agg,
-                          const SweepRunInfo& info);
-
-/// Emits just the `"strata": [...]` key/value pair of the aggregate
-/// record at the given indent depth (no trailing comma or newline) —
-/// shared by write_aggregate_json and BENCH_fleet.json so both stay
-/// schema-aligned.
+/// Emits the `"strata": [...]` key/value pair of an aggregate record at
+/// the given indent depth (no trailing comma or newline): per stratum, the
+/// mean/stddev/min/max of the headline scalars, the merged scalar metrics
+/// and bucket-quantile summaries of the merged histograms. BENCH_fleet.json
+/// embeds it.
 void write_strata_json(std::ostream& os, const SweepAggregator& agg,
                        int indent);
 

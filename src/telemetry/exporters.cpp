@@ -1,11 +1,7 @@
 #include "telemetry/exporters.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <ostream>
-#include <vector>
-
-#include "telemetry/recorder.hpp"
 
 namespace flexfetch::telemetry {
 
@@ -124,47 +120,6 @@ void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events,
   }
   os << "  ]\n";
   os << "}\n";
-}
-
-void write_chrome_trace(std::ostream& os, const Recorder& recorder,
-                        const MetricsRegistry* metrics) {
-  const auto events = recorder.events();
-  write_chrome_trace(os, events, recorder.dropped(), metrics);
-}
-
-void write_text_timeline(std::ostream& os,
-                         std::span<const TraceEvent> events) {
-  std::vector<const TraceEvent*> order;
-  order.reserve(events.size());
-  for (const TraceEvent& ev : events) order.push_back(&ev);
-  std::sort(order.begin(), order.end(),
-            [](const TraceEvent* a, const TraceEvent* b) {
-              if (a->start != b->start) return a->start < b->start;
-              return a->seq < b->seq;
-            });
-  char buf[128];
-  for (const TraceEvent* ev : order) {
-    std::snprintf(buf, sizeof(buf), "%12.6f  %-12s %-24s", ev->start.value(),
-                  track_name(ev->track), ev->name);
-    os << buf;
-    if (ev->phase == Phase::kSpan) {
-      std::snprintf(buf, sizeof(buf), " dur=%.6fs", ev->duration.value());
-      os << buf;
-    } else if (ev->phase == Phase::kCounter) {
-      os << " value=";
-      write_num(os, ev->value);
-    }
-    for (std::size_t i = 0; i < ev->n_args; ++i) {
-      const Arg& a = ev->args[i];
-      os << ' ' << a.key << '=';
-      if (a.str != nullptr) {
-        os << a.str;
-      } else {
-        write_num(os, a.num);
-      }
-    }
-    os << '\n';
-  }
 }
 
 }  // namespace flexfetch::telemetry

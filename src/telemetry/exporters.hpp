@@ -1,5 +1,4 @@
-// Trace exporters: Chrome trace_event JSON (chrome://tracing, Perfetto)
-// and a compact human-readable text timeline.
+// Trace exporter: Chrome trace_event JSON (chrome://tracing, Perfetto).
 #pragma once
 
 #include <iosfwd>
@@ -10,8 +9,6 @@
 
 namespace flexfetch::telemetry {
 
-class Recorder;
-
 /// Writes the events as a Chrome trace_event JSON object (the "JSON Object
 /// Format": {"traceEvents": [...], ...}), loadable by chrome://tracing and
 /// ui.perfetto.dev. Timestamps are converted from simulated seconds to the
@@ -21,13 +18,5 @@ class Recorder;
 void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events,
                         std::uint64_t dropped = 0,
                         const MetricsRegistry* metrics = nullptr);
-
-/// Convenience overload over a live recorder.
-void write_chrome_trace(std::ostream& os, const Recorder& recorder,
-                        const MetricsRegistry* metrics = nullptr);
-
-/// Writes a line-per-event text timeline ordered by (time, seq) — the
-/// quick-look counterpart of the Chrome trace.
-void write_text_timeline(std::ostream& os, std::span<const TraceEvent> events);
 
 }  // namespace flexfetch::telemetry

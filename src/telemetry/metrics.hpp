@@ -141,11 +141,6 @@ class MetricsRegistry {
     return histograms_;
   }
 
-  void clear() {
-    metrics_.clear();
-    histograms_.clear();
-  }
-
  private:
   Metric& touch(std::string_view name, MetricKind kind);
 

@@ -80,12 +80,4 @@ std::vector<TraceEvent> Recorder::take_events() {
   return out;
 }
 
-void Recorder::clear() {
-  count_ = 0;
-  first_ = 0;
-  dropped_ = 0;
-  sample_tick_ = 0;
-  for (auto& h : hist_) h = Histogram{};
-}
-
 }  // namespace flexfetch::telemetry

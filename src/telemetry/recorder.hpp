@@ -171,8 +171,6 @@ class Recorder {
   /// events(), then clears the ring (tallies survive).
   std::vector<TraceEvent> take_events();
 
-  void clear();
-
  private:
   template <typename... A>
   static void pack_args(PackedRecord& r, A... args) {

@@ -1,13 +1,6 @@
 #include "trace/trace_io.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <fstream>
-#include <string_view>
-#include <type_traits>
-
-#include "common/error.hpp"
-#include "common/format.hpp"
 
 namespace flexfetch::trace {
 namespace {
@@ -25,21 +18,9 @@ OpType parse_op(std::string_view s, std::size_t lineno) {
   fail(lineno, "unknown op '" + std::string(s) + "'");
 }
 
-/// Reads the whole token as a T with std::from_chars: no whitespace, '+',
-/// trailing characters or out-of-range value (for unsigned T, no '-').
-/// A double (timestamp, duration) must also be finite and non-negative.
-template <typename T>
-T parse_field(std::string_view tok, const char* field, std::size_t lineno) {
-  T v{};
-  const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  bool ok = ec == std::errc{} && end == tok.data() + tok.size();
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v) && v >= 0.0;
-  if (!ok) fail(lineno, std::string("bad ") + field + " '" + std::string(tok) + "'");
-  return v;
-}
+}  // namespace
 
-/// Splits on every `sep`: n separators always give n + 1 fields.
-std::vector<std::string_view> split(std::string_view line, char sep) {
+std::vector<std::string_view> split_fields(std::string_view line, char sep) {
   std::vector<std::string_view> out;
   for (std::size_t pos; (pos = line.find(sep)) != std::string_view::npos;) {
     out.push_back(line.substr(0, pos));
@@ -49,17 +30,15 @@ std::vector<std::string_view> split(std::string_view line, char sep) {
   return out;
 }
 
-}  // namespace
-
 void write_trace(std::ostream& os, const Trace& trace) {
   os << "# flexfetch-trace v1 name=" << trace.name() << '\n';
   for (const auto& r : trace) {
-    os << strprintf("%.9f,%s,%u,%u,%d,%llu,%llu,%llu,%.9f\n",
-                    r.timestamp.value(), to_string(r.op), r.pid, r.pgid, r.fd,
-                    static_cast<unsigned long long>(r.inode),
+    os << format_round_trip(r.timestamp.value())
+       << strprintf(",%s,%u,%u,%d,%llu,%llu,%llu,", to_string(r.op), r.pid,
+                    r.pgid, r.fd, static_cast<unsigned long long>(r.inode),
                     static_cast<unsigned long long>(r.offset.value()),
-                    static_cast<unsigned long long>(r.size.value()),
-                    r.duration.value());
+                    static_cast<unsigned long long>(r.size.value()))
+       << format_round_trip(r.duration.value()) << '\n';
   }
 }
 
@@ -79,7 +58,7 @@ Trace read_trace(std::istream& is) {
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
-    const auto fields = split(line, ',');
+    const auto fields = split_fields(line, ',');
     if (fields.size() != 9) {
       fail(lineno, "expected 9 fields, got " + std::to_string(fields.size()));
     }

@@ -229,6 +229,14 @@ TEST(Checkpoint, TruncatedLinesAreRejectedNotMisparsed) {
         << "prefix of length " << cut << " parsed";
   }
   EXPECT_FALSE(parse_block_line(line + " trailing", &out));
+  // So must a block index that is signed or out of range: strtoull read -1
+  // and 99999999999999999999 as 2^64 - 1, and +3 as 3.
+  ASSERT_EQ(line.rfind("block 0 ", 0), 0u);
+  const std::string rest = line.substr(7);  // From the space after the index.
+  for (const char* index : {"-1", "99999999999999999999", "+3"}) {
+    EXPECT_FALSE(parse_block_line(std::string("block ") + index + rest, &out))
+        << "block index " << index << " parsed";
+  }
 }
 
 TEST(Checkpoint, MetaLineRoundTrips) {
@@ -249,6 +257,14 @@ TEST(Checkpoint, MetaLineRoundTrips) {
   EXPECT_EQ(parsed.peak_rss_bytes, m.peak_rss_bytes);
   EXPECT_EQ(parsed.users, m.users);
   EXPECT_EQ(parsed.blocks, m.blocks);
+
+  // A shard is a non-negative int: -1 read as shard -1, and 2^31 wrapped.
+  ASSERT_EQ(line.rfind("meta shard 3 ", 0), 0u);
+  for (const char* shard : {"-1", "2147483648", "+3"}) {
+    EXPECT_FALSE(parse_meta_line(std::string("meta shard ") + shard + line.substr(12),
+                                 &parsed))
+        << "shard " << shard << " parsed";
+  }
 }
 
 TEST(Runner, AnyWorkerGroupingMergesToTheMonolithicBits) {

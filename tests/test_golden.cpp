@@ -3,7 +3,9 @@
 // means some result changed. A speed-only change must leave every constant
 // as it is. A change that moves results on purpose replaces the constant
 // with the value the failing test prints, and names and explains the change
-// in CHANGES.md.
+// in CHANGES.md. The standard-grid, faulted-grid and contention goldens
+// each reach their constant from a serial pass and from a 4-thread pass, so
+// ctest also pins serial == parallel.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -14,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hpp"
 #include "faults/schedule.hpp"
 #include "fleet/catalog.hpp"
 #include "fleet/checkpoint.hpp"
@@ -62,8 +65,9 @@ std::uint64_t fnv1a(std::string_view bytes) {
 
 /// fold_result_digest over all_scenarios(1) x standard_policy_names() x the
 /// paper's WNIC axes (the 13 latencies at 11 Mb/s and 4 bandwidths at 1 ms of
-/// bench::SweepSpec), telemetry off, in sim::make_grid order, run serially.
-std::uint64_t standard_grid_digest(const sim::SimConfig& base) {
+/// bench::SweepSpec), telemetry off, in sim::make_grid order, run on `jobs`
+/// workers.
+std::uint64_t standard_grid_digest(const sim::SimConfig& base, int jobs) {
   const std::vector<double> latencies_ms = {0.0,  1.0,  3.0,  5.0,  7.0,  9.0, 12.0,
                                             15.0, 20.0, 30.0, 50.0, 70.0, 100.0};
   const std::vector<double> bandwidths_mbps = {1.0, 2.0, 5.5, 11.0};
@@ -80,24 +84,30 @@ std::uint64_t standard_grid_digest(const sim::SimConfig& base) {
   EXPECT_EQ(cells.size(), 340u);
 
   std::uint64_t digest = sim::kResultDigestSeed;
-  for (const auto& r : sim::run_sweep(cells, {.jobs = 1})) {
+  for (const auto& r : sim::run_sweep(cells, {.jobs = jobs})) {
     digest = sim::fold_result_digest(digest, r);
   }
   return digest;
 }
 
 TEST(Golden, StandardGrid) {
-  const std::uint64_t digest = standard_grid_digest({});
-  EXPECT_EQ(digest, kStandardGridDigest)
-      << "standard grid digest is now " << hex(digest) << "; simulated results changed";
+  for (const int jobs : {1, 4}) {
+    const std::uint64_t digest = standard_grid_digest({}, jobs);
+    EXPECT_EQ(digest, kStandardGridDigest)
+        << "standard grid digest at jobs=" << jobs << " is now " << hex(digest)
+        << "; simulated results changed";
+  }
 }
 
 TEST(Golden, FaultedGrid) {
   sim::SimConfig base;
   base.faults = faults::generate_schedule(7);
-  const std::uint64_t digest = standard_grid_digest(base);
-  EXPECT_EQ(digest, kFaultedGridDigest)
-      << "faulted grid digest is now " << hex(digest) << "; simulated results changed";
+  for (const int jobs : {1, 4}) {
+    const std::uint64_t digest = standard_grid_digest(base, jobs);
+    EXPECT_EQ(digest, kFaultedGridDigest)
+        << "faulted grid digest at jobs=" << jobs << " is now " << hex(digest)
+        << "; simulated results changed";
+  }
 }
 
 TEST(Golden, GrepDiskOnly) {
@@ -110,11 +120,11 @@ TEST(Golden, GrepDiskOnly) {
 }
 
 TEST(Golden, Contention) {
-  // bench_contention's client mix: client i replays scenario i mod 5 built
-  // from seed 1 + i over a 3 Mb/s crowded-cell link with link quality
-  // 1 - 0.05 (i mod 4); client 0 starts at 12% battery, the rest ramp from
-  // 40% to full. flexfetch on every client, fifo and battery admission, and a
-  // 2-slot server with one slot reserved for clients below 30% battery.
+  // The client mix of `bench_paper contention`: client i replays scenario
+  // i mod 5 built from seed 1 + i over a 3 Mb/s crowded-cell link with link
+  // quality 1 - 0.05 (i mod 4); client 0 starts at 12% battery, the rest ramp
+  // from 40% to full. flexfetch on every client, fifo and battery admission,
+  // and a 2-slot server with one slot reserved for clients below 30% battery.
   using Builder = workloads::ScenarioBundle (*)(std::uint64_t);
   const Builder builders[] = {
       workloads::scenario_grep_make, workloads::scenario_mplayer,
@@ -123,37 +133,57 @@ TEST(Golden, Contention) {
   std::vector<workloads::ScenarioBundle> bundles;
   for (std::uint64_t i = 0; i < 4; ++i) bundles.push_back(builders[i % 5](1 + i));
 
-  std::uint64_t digest = sim::kResultDigestSeed;
-  for (const int n : {1, 4}) {
-    for (const char* admission : {"fifo", "battery"}) {
-      medium::MultiClientConfig config;
-      config.server.capacity = 2;
-      config.server.reserved_slots = 1;
-      config.server.low_battery_threshold = 0.30;
-      config.server.admission = admission;
-      std::vector<std::unique_ptr<sim::Policy>> owned;
-      std::vector<medium::ClientSpec> specs;
-      for (int i = 0; i < n; ++i) {
-        const auto& b = bundles[static_cast<std::size_t>(i)];
-        owned.push_back(
-            policies::make_policy("flexfetch", b.profiles, &b.oracle_future, 0.25));
-        medium::ClientSpec spec;
-        spec.name = b.name + "#" + std::to_string(i);
-        spec.programs = b.programs;
-        spec.policy = owned.back().get();
-        spec.config.wnic = spec.config.wnic.with_bandwidth_mbps(3.0);
-        spec.link_quality = 1.0 - 0.05 * static_cast<double>(i % 4);
-        spec.battery.initial_fraction =
-            i == 0 ? 0.12
-                   : 0.40 + 0.60 * static_cast<double>(i - 1) / static_cast<double>(n - 2);
-        specs.push_back(std::move(spec));
-      }
-      medium::MultiClientSim cell(config, std::move(specs));
-      for (const auto& r : cell.run().clients) digest = sim::fold_result_digest(digest, r);
+  const std::pair<int, const char*> cells[] = {
+      {1, "fifo"}, {1, "battery"}, {4, "fifo"}, {4, "battery"}};
+  const auto run_cell = [&](int n, const char* admission) {
+    medium::MultiClientConfig config;
+    config.server.capacity = 2;
+    config.server.reserved_slots = 1;
+    config.server.low_battery_threshold = 0.30;
+    config.server.admission = admission;
+    std::vector<std::unique_ptr<sim::Policy>> owned;
+    std::vector<medium::ClientSpec> specs;
+    for (int i = 0; i < n; ++i) {
+      const auto& b = bundles[static_cast<std::size_t>(i)];
+      owned.push_back(
+          policies::make_policy("flexfetch", b.profiles, &b.oracle_future, 0.25));
+      medium::ClientSpec spec;
+      spec.name = b.name + "#" + std::to_string(i);
+      spec.programs = b.programs;
+      spec.policy = owned.back().get();
+      spec.config.wnic = spec.config.wnic.with_bandwidth_mbps(3.0);
+      spec.link_quality = 1.0 - 0.05 * static_cast<double>(i % 4);
+      spec.battery.initial_fraction =
+          i == 0 ? 0.12
+                 : 0.40 + 0.60 * static_cast<double>(i - 1) / static_cast<double>(n - 2);
+      specs.push_back(std::move(spec));
     }
+    return medium::MultiClientSim(config, std::move(specs)).run();
+  };
+  // Folds every client of every cell, in cell order.
+  const auto digest_of = [](const std::vector<medium::MultiClientResult>& runs) {
+    std::uint64_t digest = sim::kResultDigestSeed;
+    for (const auto& run : runs) {
+      for (const auto& r : run.clients) digest = sim::fold_result_digest(digest, r);
+    }
+    return digest;
+  };
+
+  std::vector<medium::MultiClientResult> serial;
+  for (const auto& [n, admission] : cells) serial.push_back(run_cell(n, admission));
+  std::vector<medium::MultiClientResult> parallel(std::size(cells));
+  {
+    ThreadPool pool(4);
+    parallel_for(pool, std::size(cells), [&](std::size_t i) {
+      parallel[i] = run_cell(cells[i].first, cells[i].second);
+    });
   }
-  EXPECT_EQ(digest, kContentionDigest)
-      << "contention digest is now " << hex(digest) << "; simulated results changed";
+  for (const auto* runs : {&serial, &parallel}) {
+    const std::uint64_t digest = digest_of(*runs);
+    EXPECT_EQ(digest, kContentionDigest)
+        << (runs == &serial ? "serial" : "4-thread") << " contention digest is now "
+        << hex(digest) << "; simulated results changed";
+  }
 }
 
 TEST(Golden, BatteryAblation) {

@@ -185,11 +185,11 @@ TEST(MultiClient, ContentionIsVisibleAtFourClients) {
 }
 
 TEST(MultiClient, ContentionShiftsFlexFetchTowardsDisk) {
-  // Mirrors bench_contention's crowded-cafe preset: four different paper
-  // scenarios on a 3 Mb/s cell (the MAC goodput of a 5.5 Mb/s PHY after
-  // rate adaptation), which sits near the disk/network breakeven. Each
-  // client's uncontended reference is itself, alone, with the identical
-  // spec — the delta is pure contention.
+  // Mirrors the crowded-cell preset of `bench_paper contention`: four
+  // different paper scenarios on a 3 Mb/s cell (the MAC goodput of a
+  // 5.5 Mb/s PHY after rate adaptation), which sits near the disk/network
+  // breakeven. Each client's uncontended reference is itself, alone, with
+  // the identical spec — the delta is pure contention.
   using Builder = workloads::ScenarioBundle (*)(std::uint64_t);
   const Builder builders[] = {
       workloads::scenario_grep_make, workloads::scenario_mplayer,

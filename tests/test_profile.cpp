@@ -86,16 +86,20 @@ TEST(Profile, MergeOfSingleProfileKeepsBursts) {
 }
 
 TEST(Profile, SerializationRoundTrip) {
-  const Profile p = sample_profile();
+  // Times that no 9-digit decimal holds must still read back bit-equal.
+  std::vector<IOBurst> bursts = sample_profile().bursts();
+  bursts[0].think_before = Seconds{1.0 / 3.0};
+  bursts[1].duration = Seconds{2e-12};
+  const Profile p("prog", bursts);
   std::stringstream ss;
   p.write(ss);
   const Profile q = Profile::read(ss);
   EXPECT_EQ(q.program(), p.program());
   ASSERT_EQ(q.size(), p.size());
   for (std::size_t i = 0; i < p.size(); ++i) {
-    EXPECT_NEAR(q[i].think_before.value(), p[i].think_before.value(), 1e-9);
-    EXPECT_NEAR(q[i].start.value(), p[i].start.value(), 1e-9);
-    EXPECT_NEAR(q[i].duration.value(), p[i].duration.value(), 1e-9);
+    EXPECT_EQ(q[i].think_before, p[i].think_before);
+    EXPECT_EQ(q[i].start, p[i].start);
+    EXPECT_EQ(q[i].duration, p[i].duration);
     ASSERT_EQ(q[i].requests.size(), p[i].requests.size());
     for (std::size_t j = 0; j < p[i].requests.size(); ++j) {
       EXPECT_EQ(q[i].requests[j].inode, p[i].requests[j].inode);
@@ -125,6 +129,39 @@ TEST(Profile, ReadRejectsTruncatedBurst) {
 TEST(Profile, ReadRejectsUnknownTag) {
   std::stringstream ss("# flexfetch-profile v1 name=x\nbogus,1,2\n");
   EXPECT_THROW(Profile::read(ss), TraceError);
+}
+
+TEST(Profile, ReadRejectsMalformedFields) {
+  // Each input is a one-request burst with one malformed field; a row
+  // parses only if every field is one whole in-range token.
+  for (const char* rows : {
+           "burst,0,0,1,1\nreq,12,xyz,4096,0",   // Non-numeric offset read as 0.
+           "burst,0,0,1,1\nreq,12,0,4096x,0",    // Trailing junk.
+           "burst,0,0,1,1\nreq,12,-1,4096,0",    // Offset -1 wraps.
+           "burst,0,0,1,1\nreq,+12,0,4096,0",    // Plus sign.
+           "burst,0,0,1,1\nreq,12,0,4096,2",     // is_write is 0 or 1.
+           "burst,0,0,1,1\nreq,12,0,4096,0,7",   // Extra field.
+           "burst,0,0,1,1\nreq,12,0,4096",       // Missing field.
+           "burst,nan,0,1,1\nreq,12,0,4096,0",   // Think NaN.
+           "burst,0,inf,1,1\nreq,12,0,4096,0",   // Start not finite.
+           "burst,0,0,-1,1\nreq,12,0,4096,0",    // Negative duration.
+           "burst,0,0,1s,1\nreq,12,0,4096,0",    // Duration with a unit.
+           "burst,0,0,1,-1\nreq,12,0,4096,0",    // Negative request count.
+           "burst,0,0,1,1.0\nreq,12,0,4096,0",   // Fractional request count.
+           "burst, 0,0,1,1\nreq,12,0,4096,0",    // Leading space.
+           "burst,,0,1,1\nreq,12,0,4096,0",      // Empty field.
+       }) {
+    std::stringstream ss(std::string("# flexfetch-profile v1 name=x\n") + rows + "\n");
+    try {
+      Profile::read(ss);
+      ADD_FAILURE() << "accepted: " << rows;
+    } catch (const TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find("line "), std::string::npos)
+          << rows << ": " << e.what();
+    }
+  }
+  std::stringstream ok("# flexfetch-profile v1 name=x\nburst,0,0,1,1\nreq,12,0,4096,1\n");
+  EXPECT_TRUE(Profile::read(ok)[0].requests[0].is_write);
 }
 
 }  // namespace

@@ -152,7 +152,7 @@ TEST(Sweep, ResolveJobsPrefersExplicitThenEnv) {
 TEST(Sweep, FaultedGridIsBitIdenticalSerialVsParallel) {
   // Fault injection must not disturb the determinism contract: the same
   // seeded schedule applied to every cell yields bit-identical results
-  // (and identical JSON) whether the grid runs on one thread or many.
+  // whether the grid runs on one thread or many.
   const auto scenario = workloads::scenario_mplayer(1);
   auto cells =
       sim::make_grid({&scenario}, {"flexfetch", "wnic-only", "disk-only"},
@@ -172,13 +172,6 @@ TEST(Sweep, FaultedGridIsBitIdenticalSerialVsParallel) {
     SCOPED_TRACE(cells[i].policy);
     expect_identical(serial[i], parallel[i]);
   }
-
-  sim::SweepRunInfo info;
-  info.jobs = jobs;
-  std::ostringstream serial_json, parallel_json;
-  sim::write_sweep_json(serial_json, cells, serial, info);
-  sim::write_sweep_json(parallel_json, cells, parallel, info);
-  EXPECT_EQ(serial_json.str(), parallel_json.str());
 }
 
 TEST(Sweep, FaultedRunIsIdenticalWithTelemetryOnOrOff) {
@@ -201,28 +194,6 @@ TEST(Sweep, FaultedRunIsIdenticalWithTelemetryOnOrOff) {
   }
   EXPECT_FALSE(traced[0].trace_events.empty());
   EXPECT_TRUE(quiet[0].trace_events.empty());
-}
-
-TEST(Sweep, ResolveJobsDetailRecordsProvenance) {
-  const auto explicit_jobs = sim::resolve_jobs_detail(3);
-  EXPECT_EQ(explicit_jobs.requested, 3);
-  EXPECT_EQ(explicit_jobs.effective, 3);
-  EXPECT_FALSE(explicit_jobs.from_env);
-
-  ::setenv("FF_JOBS", "5", 1);
-  const auto env_jobs = sim::resolve_jobs_detail(0);
-  EXPECT_EQ(env_jobs.requested, 0);
-  EXPECT_EQ(env_jobs.effective, 5);
-  EXPECT_TRUE(env_jobs.from_env);
-  ::unsetenv("FF_JOBS");
-
-  // Unset (0 = auto): clamps to the host's hardware concurrency.
-  const auto auto_jobs = sim::resolve_jobs_detail(0);
-  EXPECT_EQ(auto_jobs.requested, 0);
-  EXPECT_EQ(auto_jobs.effective,
-            static_cast<int>(ThreadPool::default_concurrency()));
-  EXPECT_FALSE(auto_jobs.from_env);
-  EXPECT_GE(auto_jobs.effective, 1);
 }
 
 // --- Streaming sweep + aggregation ------------------------------------------
@@ -314,10 +285,8 @@ TEST(Sweep, AggregateIsIdenticalForAnyWorkerCount) {
         [&](std::size_t, const sim::SweepCell& cell, sim::SimResult&& result) {
           agg.add(cell, result);
         });
-    sim::SweepRunInfo info;  // fixed metadata so only the strata can differ
-    info.jobs = 1;
     std::ostringstream os;
-    sim::write_aggregate_json(os, agg, info);
+    sim::write_strata_json(os, agg, 2);
     return os.str();
   };
 
@@ -378,10 +347,8 @@ TEST(Sweep, EmptyAggregatorEmitsNoStrata) {
   EXPECT_EQ(agg.cells_seen(), 0u);
   EXPECT_TRUE(agg.strata().empty());
   std::ostringstream os;
-  sim::write_aggregate_json(os, agg, sim::SweepRunInfo{});
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"cells\": 0"), std::string::npos);
-  EXPECT_EQ(json.find("\"energy_j\""), std::string::npos);
+  sim::write_strata_json(os, agg, 0);
+  EXPECT_EQ(os.str(), "\"strata\": [\n]");
 }
 
 TEST(Sweep, HistogramQuantileEdgeCases) {
@@ -414,47 +381,6 @@ TEST(Sweep, HistogramQuantileEdgeCases) {
   EXPECT_DOUBLE_EQ(sim::histogram_quantile(two, 0.5), low);
   EXPECT_DOUBLE_EQ(sim::histogram_quantile(two, 0.75), low);
   EXPECT_DOUBLE_EQ(sim::histogram_quantile(two, 1.0), high);
-}
-
-TEST(Sweep, SerialFallbackIsRecordedInJson) {
-  const auto scenario = workloads::scenario_mplayer(1);
-  const auto cells = sim::make_grid({&scenario}, {"disk-only"},
-                                    {device::WnicParams::cisco_aironet350()});
-  const auto results = sim::run_sweep(cells, {.jobs = 1});
-  sim::SweepRunInfo info;
-  info.jobs = 1;
-  info.serial_fallback = true;
-  std::ostringstream os;
-  sim::write_sweep_json(os, cells, results, info);
-  EXPECT_NE(os.str().find("\"serial_fallback\": true"), std::string::npos);
-
-  sim::SweepAggregator agg;
-  for (std::size_t i = 0; i < cells.size(); ++i) agg.add(cells[i], results[i]);
-  std::ostringstream agg_os;
-  sim::write_aggregate_json(agg_os, agg, info);
-  EXPECT_NE(agg_os.str().find("\"serial_fallback\": true"), std::string::npos);
-}
-
-TEST(Sweep, JsonEmitterRecordsCellsAndSpeedup) {
-  const auto scenario = workloads::scenario_mplayer(1);
-  const auto cells = sim::make_grid({&scenario}, {"disk-only"},
-                                    {device::WnicParams::cisco_aironet350()});
-  const auto results = sim::run_sweep(cells, {.jobs = 1});
-  sim::SweepRunInfo info;
-  info.jobs = 4;
-  info.jobs_requested = 0;
-  info.wall_seconds = 2.0;
-  info.serial_wall_seconds = 8.0;
-  std::ostringstream os;
-  sim::write_sweep_json(os, cells, results, info);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"jobs\": 4"), std::string::npos);
-  EXPECT_NE(json.find("\"jobs_requested\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"speedup\": 4"), std::string::npos);
-  EXPECT_NE(json.find("\"policy\": \"disk-only\""), std::string::npos);
-  EXPECT_NE(json.find("\"scenario\": "), std::string::npos);
-  EXPECT_NE(json.find("\"energy_j\": "), std::string::npos);
-  EXPECT_NE(json.find("\"bandwidth_mbps\": 11"), std::string::npos);
 }
 
 }  // namespace

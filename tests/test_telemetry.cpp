@@ -457,24 +457,6 @@ TEST(Exporters, RealSimulationTraceIsWellFormed) {
   EXPECT_NE(json.find("\"disk.energy_j\""), std::string::npos);
 }
 
-TEST(Exporters, TextTimelineOrdersByTime) {
-  static constexpr EventDesc kLater{.name = "later"};
-  static constexpr EventDesc kEarlier{.name = "earlier"};
-  Recorder rec(8);
-  rec.instant(kLater, Seconds{2.0});
-  rec.instant(kEarlier, Seconds{1.0});
-  const auto events = rec.events();
-
-  std::ostringstream os;
-  telemetry::write_text_timeline(os, events);
-  const std::string text = os.str();
-  const auto earlier = text.find("earlier");
-  const auto later = text.find("later");
-  ASSERT_NE(earlier, std::string::npos);
-  ASSERT_NE(later, std::string::npos);
-  EXPECT_LT(earlier, later);
-}
-
 // --- Whole-simulator integration --------------------------------------------
 
 TEST(Telemetry, DiskPowerSpansTileTheTimeline) {

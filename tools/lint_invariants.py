@@ -54,7 +54,7 @@ DIMENSIONED_PARAM = re.compile(
     r"\bdouble\s+(\w*(?:time|seconds|duration|latency|timeout|deadline"
     r"|energy|joules|power|watts|bandwidth|_bw|bytes|_size)\w*)\s*[,)=]",
     re.IGNORECASE)
-R1_EXEMPT_NAMES = {"wall_seconds", "serial_wall_seconds"}
+R1_EXEMPT_NAMES = {"wall_seconds"}
 
 R3_BANNED = [
     (re.compile(r"\bstd::rand\b"), "std::rand"),
