@@ -161,7 +161,8 @@ void print_metrics_summary(const SweepSpec& spec,
     }
     std::printf("[%s]\n", p.c_str());
     for (const auto& [name, metric] : merged.items()) {
-      std::printf("  %-32s %.6g\n", name.c_str(), metric.value);
+      std::printf("  %-32.*s %.6g\n", static_cast<int>(name.size()),
+                  name.data(), metric.value);
     }
   }
   std::printf("\n");

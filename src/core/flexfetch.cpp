@@ -548,22 +548,22 @@ void FlexFetchPolicy::observe(const sim::RequestContext& req,
 }
 
 void FlexFetchPolicy::export_metrics(telemetry::MetricsRegistry& m) const {
+  using enum telemetry::MetricId;
   const auto num = [](std::uint64_t v) { return static_cast<double>(v); };
-  m.add("ff.stages_entered", num(stats_.stages_entered));
-  m.add("ff.splice_reevaluations", num(stats_.splice_reevaluations));
-  m.add("ff.splice_switches", num(stats_.splice_switches));
-  m.add("ff.audit_overrides", num(stats_.audit_overrides));
-  m.add("ff.free_rider_redirects", num(stats_.free_rider_redirects));
-  m.add("ff.cache_filtered_requests", num(stats_.cache_filtered_requests));
-  m.add("ff.fault_reevaluations", num(stats_.fault_reevaluations));
-  m.add("ff.fault_switches", num(stats_.fault_switches));
-  m.add("ff.estimator_requests_replayed",
-        num(stats_.estimator_requests_replayed));
-  m.add("ff.shadow_requests_replayed", num(stats_.shadow_requests_replayed));
-  m.add("ff.syscalls_tracked", num(stats_.syscalls_tracked));
-  m.set("ff.overhead_energy_j", overhead_energy().value());
+  m.add(kFfStagesEntered, num(stats_.stages_entered));
+  m.add(kFfSpliceReevaluations, num(stats_.splice_reevaluations));
+  m.add(kFfSpliceSwitches, num(stats_.splice_switches));
+  m.add(kFfAuditOverrides, num(stats_.audit_overrides));
+  m.add(kFfFreeRiderRedirects, num(stats_.free_rider_redirects));
+  m.add(kFfCacheFilteredRequests, num(stats_.cache_filtered_requests));
+  m.add(kFfFaultReevaluations, num(stats_.fault_reevaluations));
+  m.add(kFfFaultSwitches, num(stats_.fault_switches));
+  m.add(kFfEstimatorRequestsReplayed, num(stats_.estimator_requests_replayed));
+  m.add(kFfShadowRequestsReplayed, num(stats_.shadow_requests_replayed));
+  m.add(kFfSyscallsTracked, num(stats_.syscalls_tracked));
+  m.set(kFfOverheadEnergyJ, overhead_energy().value());
   if (!loss_rate_hist_.empty()) {
-    m.histogram("ff.loss_rate").merge(loss_rate_hist_);
+    m.histogram(telemetry::HistId::kLossRate).merge(loss_rate_hist_);
   }
 }
 

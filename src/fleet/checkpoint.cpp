@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -22,11 +23,11 @@ using sim::RunningStat;
 using sim::StratumAggregate;
 using sim::SweepAggregator;
 using telemetry::Histogram;
-using telemetry::MetricKind;
 
-/// Stratum keys and metric names become single tokens on the line;
-/// whitespace inside one would corrupt the stream (none of the paper's
-/// scenario/policy/metric names contain any — this enforces it).
+/// Stratum keys become single tokens on the line; whitespace inside one
+/// would corrupt the stream (none of the paper's scenario/policy names
+/// contain any — this enforces it). Metric names are tokens too, and the
+/// metric table fixes them.
 void check_token(const std::string& name) {
   FF_REQUIRE(!name.empty(), "checkpoint: empty token name");
   for (const char c : name) {
@@ -36,11 +37,37 @@ void check_token(const std::string& name) {
 }
 
 /// C99 hexfloat (%a): the only printf form that round-trips every finite
-/// double exactly and prints inf/nan in strtod-parseable spellings.
+/// double exactly. A non-finite value is refused here rather than
+/// written as a line the reader drops.
 void put_hex(std::ostream& os, double v) {
+  FF_REQUIRE(std::isfinite(v), "checkpoint: non-finite value");
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%a", v);
   os << buf;
+}
+
+/// True iff `t` reads 0x<hex>[.<hex>]p[+-]<digits>, the way %a prints a
+/// finite non-negative double: no decimal, no '+', no upper case, no inf
+/// or nan.
+bool is_hexfloat_magnitude(std::string_view t) {
+  const auto take = [&t](char c) {
+    if (t.empty() || t.front() != c) return false;
+    t.remove_prefix(1);
+    return true;
+  };
+  const auto take_run = [&t](auto in_set) {
+    std::size_t n = 0;
+    while (n < t.size() && in_set(t[n])) ++n;
+    t.remove_prefix(n);
+    return n > 0;
+  };
+  const auto hex = [](char c) {
+    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+  };
+  const auto dec = [](char c) { return c >= '0' && c <= '9'; };
+  if (!take('0') || !take('x') || !take_run(hex)) return false;
+  if (take('.') && !take_run(hex)) return false;
+  return take('p') && (take('+') || take('-')) && take_run(dec) && t.empty();
 }
 
 /// Forward-only token reader over one line. Every accessor sets ok=false
@@ -77,19 +104,21 @@ struct Cursor {
 
   std::uint64_t u64() { return whole<std::uint64_t>(); }
 
+  /// The whole next token as put_hex writes it: -?<hexfloat magnitude>.
   double dbl() {
-    const std::string_view tok = next();
-    char buf[64];
-    if (!ok || tok.empty() || tok.size() >= sizeof(buf)) {
+    std::string_view tok = next();
+    const bool negative = tok.starts_with('-');
+    if (negative) tok.remove_prefix(1);
+    double v = 0.0;
+    if (!ok || !is_hexfloat_magnitude(tok)) {
       ok = false;
-      return 0.0;
+      return v;
     }
-    tok.copy(buf, tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    const double v = std::strtod(buf, &end);
-    if (end != buf + tok.size()) ok = false;
-    return v;
+    const char* end = tok.data() + tok.size();
+    const auto [ptr, ec] =
+        std::from_chars(tok.data() + 2, end, v, std::chars_format::hex);
+    if (ec != std::errc{} || ptr != end) ok = false;
+    return negative ? -v : v;
   }
 
   /// The line must be fully consumed but for trailing spaces.
@@ -132,13 +161,11 @@ void write_agg_tokens(std::ostream& os, const SweepAggregator& agg) {
     put_stat(os, st.io_time_s);
     os << " metrics " << st.metrics.items().size();
     for (const auto& [name, metric] : st.metrics.items()) {
-      check_token(name);
       os << ' ' << name << ' ' << static_cast<int>(metric.kind) << ' ';
       put_hex(os, metric.value);
     }
     os << " hists " << st.metrics.histograms().size();
     for (const auto& [name, h] : st.metrics.histograms()) {
-      check_token(name);
       os << ' ' << name << ' ' << h.count() << ' ';
       put_hex(os, h.sum());
       os << ' ';
@@ -172,21 +199,26 @@ bool parse_agg_tokens(Cursor& c, SweepAggregator* agg) {
     st.wnic_energy_j = parse_stat(c);
     st.makespan_s = parse_stat(c);
     st.io_time_s = parse_stat(c);
+    // A name outside the metric table, a name given twice in one stratum
+    // and a kind other than the table's are as malformed as a torn line.
     c.expect("metrics");
     const std::uint64_t n_metrics = c.u64();
-    if (!c.ok || n_metrics > 1'000'000) return false;
+    if (!c.ok || n_metrics > telemetry::kMetricCount) return false;
     for (std::uint64_t m = 0; m < n_metrics && c.ok; ++m) {
-      const std::string name(c.next());
+      const auto id = telemetry::find_metric(c.next());
       const std::uint64_t kind = c.u64();
       const double value = c.dbl();
-      if (!c.ok || kind > 2) return false;
-      st.metrics.restore(name, static_cast<MetricKind>(kind), value);
+      if (!c.ok || !id || st.metrics.contains(*id) ||
+          kind != static_cast<std::uint64_t>(telemetry::kind_of(*id))) {
+        return false;
+      }
+      st.metrics.restore(*id, value);
     }
     c.expect("hists");
     const std::uint64_t n_hists = c.u64();
-    if (!c.ok || n_hists > 1'000'000) return false;
+    if (!c.ok || n_hists > telemetry::kHistCount) return false;
     for (std::uint64_t h = 0; h < n_hists && c.ok; ++h) {
-      const std::string name(c.next());
+      const auto id = telemetry::find_hist(c.next());
       const std::uint64_t count = c.u64();
       const double sum = c.dbl();
       const double min = c.dbl();
@@ -201,9 +233,11 @@ bool parse_agg_tokens(Cursor& c, SweepAggregator* agg) {
         if (!c.ok || i >= Histogram::kBuckets) return false;
         buckets[i] = v;
       }
-      if (!c.ok) return false;
-      st.metrics.histogram(name) = Histogram::from_raw(count, sum, min, max,
-                                                       buckets);
+      if (!c.ok || !id || st.metrics.find_histogram(*id) != nullptr) {
+        return false;
+      }
+      st.metrics.histogram(*id) =
+          Histogram::from_raw(count, sum, min, max, buckets);
     }
     if (!c.ok || key.empty() || agg->strata().contains(key)) return false;
     agg->restore_stratum(key, std::move(st));

@@ -16,8 +16,11 @@
 // are bit-identical iff their fingerprints compare equal — this is the
 // string the fleet bench's shard-merge identity gate diffs.
 //
-// Format (one record per line, space-separated tokens; stratum keys and
-// metric names are whitespace-free by construction and enforced here):
+// Format (one record per line, space-separated tokens; stratum keys are
+// whitespace-free by construction and enforced here; metric and histogram
+// names, and each metric's kind, are rows of the metric table,
+// telemetry/metric_table.hpp, written in table order; every double is
+// finite and spelled -?0x<hex>[.<hex>]p[+-]<digits>, as %a prints it):
 //   block <idx> <lo> <hi> agg <cells> strata <n>
 //     { key <key> cells <c>
 //       stat <n> <mean> <m2> <min> <max>   x5 (energy, disk, wnic,
@@ -58,13 +61,15 @@ struct ShardMeta {
 };
 
 /// Writes one block record (newline-terminated) in the exact format
-/// above. Throws ConfigError if a stratum key or metric name contains
-/// whitespace (would corrupt the token stream).
+/// above. Throws ConfigError if a stratum key contains whitespace (would
+/// corrupt the token stream) or a value is not finite.
 void write_block_line(std::ostream& os, const BlockSummary& summary);
 
 /// Parses one line produced by write_block_line. Returns false (leaving
 /// *out unspecified) on any malformed/truncated input — the loader's
-/// partial-trailing-line tolerance.
+/// partial-trailing-line tolerance. A metric name outside the table, a
+/// name given twice in one stratum, a kind other than the table's and a
+/// double in any other spelling are malformed.
 bool parse_block_line(std::string_view line, BlockSummary* out);
 
 void write_meta_line(std::ostream& os, const ShardMeta& meta);

@@ -55,10 +55,12 @@ struct SimResult {
 
   /// Telemetry (only populated when SimConfig::telemetry.enabled). The
   /// metrics registry is always filled in that case; trace events are kept
-  /// only when the ring capacity is non-zero.
-  telemetry::MetricsRegistry metrics;
+  /// only when the ring capacity is non-zero. The registry is a fixed
+  /// block of about 6 KB that only Simulator::finish writes, so it comes
+  /// last, after the fields the event loop updates.
   std::vector<telemetry::TraceEvent> trace_events;
   std::uint64_t trace_events_dropped = 0;
+  telemetry::MetricsRegistry metrics;
 
   Joules disk_energy() const { return disk_meter.total(); }
   Joules wnic_energy() const { return wnic_meter.total(); }

@@ -249,7 +249,7 @@ SimResult Simulator::finish() {
     audit_->on_run_end(disk_, wnic_, result_.trace_events,
                        result_.trace_events_dropped);
   }
-  return result_;
+  return std::move(result_);
 }
 
 void Simulator::handle_syscall(const Event& ev) {
@@ -495,73 +495,74 @@ void Simulator::log_request(const RequestContext& rc, device::DeviceKind kind,
 
 void Simulator::populate_metrics() {
   FF_ASSERT(recorder_ != nullptr);
+  using enum telemetry::MetricId;
   auto& m = result_.metrics;
   const auto num = [](std::uint64_t v) { return static_cast<double>(v); };
 
-  m.add("sim.syscalls", num(result_.syscalls));
-  m.set("sim.makespan_s", result_.makespan.value());
-  m.set("sim.io_time_s", result_.io_time.value());
-  m.add("sim.disk_requests", num(result_.disk_requests));
-  m.add("sim.net_requests", num(result_.net_requests));
-  m.add("sim.disk_bytes", num(result_.disk_bytes.value()));
-  m.add("sim.net_bytes", num(result_.net_bytes.value()));
-  m.add("sim.sync_batches", num(result_.sync_batches));
-  m.add("sim.sync_bytes", num(result_.sync_bytes.value()));
+  m.add(kSimSyscalls, num(result_.syscalls));
+  m.set(kSimMakespanS, result_.makespan.value());
+  m.set(kSimIoTimeS, result_.io_time.value());
+  m.add(kSimDiskRequests, num(result_.disk_requests));
+  m.add(kSimNetRequests, num(result_.net_requests));
+  m.add(kSimDiskBytes, num(result_.disk_bytes.value()));
+  m.add(kSimNetBytes, num(result_.net_bytes.value()));
+  m.add(kSimSyncBatches, num(result_.sync_batches));
+  m.add(kSimSyncBytes, num(result_.sync_bytes.value()));
 
-  m.set("disk.energy_j", result_.disk_meter.total().value());
-  m.add("disk.requests", num(result_.disk_counters.requests));
-  m.add("disk.spin_ups", num(result_.disk_counters.spin_ups));
-  m.add("disk.spin_downs", num(result_.disk_counters.spin_downs));
-  m.add("disk.sequential_hits", num(result_.disk_counters.sequential_hits));
-  m.set("disk.seek_time_s", result_.disk_counters.seek_time.value());
-  m.add("disk.spin_up_stalls", num(result_.disk_counters.spin_up_stalls));
-  m.set("disk.stall_time_s", result_.disk_counters.stall_time.value());
+  const auto& disk = result_.disk_counters;
+  m.set(kDiskEnergyJ, result_.disk_meter.total().value());
+  m.add(kDiskRequests, num(disk.requests));
+  m.add(kDiskSpinUps, num(disk.spin_ups));
+  m.add(kDiskSpinDowns, num(disk.spin_downs));
+  m.add(kDiskSequentialHits, num(disk.sequential_hits));
+  m.set(kDiskSeekTimeS, disk.seek_time.value());
+  m.add(kDiskSpinUpStalls, num(disk.spin_up_stalls));
+  m.set(kDiskStallTimeS, disk.stall_time.value());
 
-  m.set("wnic.energy_j", result_.wnic_meter.total().value());
-  m.add("wnic.requests", num(result_.wnic_counters.requests));
-  m.add("wnic.wakes", num(result_.wnic_counters.wakes));
-  m.add("wnic.sleeps", num(result_.wnic_counters.sleeps));
-  m.add("wnic.psm_transfers", num(result_.wnic_counters.psm_transfers));
-  m.add("wnic.outage_stalls", num(result_.wnic_counters.outage_stalls));
-  m.add("wnic.degraded_transfers",
-        num(result_.wnic_counters.degraded_transfers));
-  m.set("wnic.outage_wait_s", result_.wnic_counters.outage_wait.value());
-  m.add("wnic.contended_transfers",
-        num(result_.wnic_counters.contended_transfers));
-  m.add("wnic.server_queue_waits",
-        num(result_.wnic_counters.server_queue_waits));
-  m.set("wnic.server_queue_wait_s",
-        result_.wnic_counters.server_queue_wait.value());
+  const auto& wnic = result_.wnic_counters;
+  m.set(kWnicEnergyJ, result_.wnic_meter.total().value());
+  m.add(kWnicRequests, num(wnic.requests));
+  m.add(kWnicWakes, num(wnic.wakes));
+  m.add(kWnicSleeps, num(wnic.sleeps));
+  m.add(kWnicPsmTransfers, num(wnic.psm_transfers));
+  m.add(kWnicOutageStalls, num(wnic.outage_stalls));
+  m.add(kWnicDegradedTransfers, num(wnic.degraded_transfers));
+  m.set(kWnicOutageWaitS, wnic.outage_wait.value());
+  m.add(kWnicContendedTransfers, num(wnic.contended_transfers));
+  m.add(kWnicServerQueueWaits, num(wnic.server_queue_waits));
+  m.set(kWnicServerQueueWaitS, wnic.server_queue_wait.value());
 
-  m.add("cache.lookups", num(result_.cache_stats.lookups));
-  m.add("cache.hits", num(result_.cache_stats.hits));
-  m.add("cache.ghost_hits", num(result_.cache_stats.ghost_hits));
-  m.add("cache.insertions", num(result_.cache_stats.insertions));
-  m.add("cache.evictions", num(result_.cache_stats.evictions));
-  m.set("cache.hit_rate", result_.cache_stats.hit_rate());
+  const auto& cache = result_.cache_stats;
+  m.add(kCacheLookups, num(cache.lookups));
+  m.add(kCacheHits, num(cache.hits));
+  m.add(kCacheGhostHits, num(cache.ghost_hits));
+  m.add(kCacheInsertions, num(cache.insertions));
+  m.add(kCacheEvictions, num(cache.evictions));
+  m.set(kCacheHitRate, cache.hit_rate());
 
-  m.add("sched.submitted", num(result_.scheduler_stats.submitted));
-  m.add("sched.merged", num(result_.scheduler_stats.merged));
-  m.add("sched.dispatched", num(result_.scheduler_stats.dispatched));
-  m.add("sched.sweeps", num(result_.scheduler_stats.sweeps));
-  m.set_max("sched.max_depth", num(sched_max_depth_));
+  const auto& sched = result_.scheduler_stats;
+  m.add(kSchedSubmitted, num(sched.submitted));
+  m.add(kSchedMerged, num(sched.merged));
+  m.add(kSchedDispatched, num(sched.dispatched));
+  m.add(kSchedSweeps, num(sched.sweeps));
+  m.set_max(kSchedMaxDepth, num(sched_max_depth_));
 
-  m.add("wb.sync_flushes", num(wb_sync_flushes_));
-  m.add("wb.periodic_flushes", num(wb_periodic_flushes_));
+  m.add(kWbSyncFlushes, num(wb_sync_flushes_));
+  m.add(kWbPeriodicFlushes, num(wb_periodic_flushes_));
 
-  m.set("battery.fraction_end", battery_.fraction());
-  m.set("battery.drain_w_est", battery_.drain_estimate().value());
+  m.set(kBatteryFractionEnd, battery_.fraction());
+  m.set(kBatteryDrainWEst, battery_.drain_estimate().value());
   // Unbounded on wall power — JSON has no infinity, so only a finite
   // horizon is recorded.
   if (std::isfinite(battery_.horizon().value())) {
-    m.set("battery.horizon_s", battery_.horizon().value());
+    m.set(kBatteryHorizonS, battery_.horizon().value());
   }
 
-  m.add("telemetry.events_emitted", num(recorder_->emitted()));
-  m.add("telemetry.dropped", num(recorder_->dropped()));
+  m.add(kTelemetryEventsEmitted, num(recorder_->emitted()));
+  m.add(kTelemetryDropped, num(recorder_->dropped()));
 
   // Pre-aggregated hot-path histograms (service times, request sizes,
-  // queue depths) ride beside the scalar namespace.
+  // queue depths) ride beside the scalar slots.
   recorder_->export_histograms(m);
 }
 

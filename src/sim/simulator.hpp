@@ -210,7 +210,6 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::size_t active_programs_ = 0;
   bool started_ = false;
-  SimResult result_;
 
   // Scratch buffers reused across events so the steady-state event loop
   // performs no heap allocation. Planning (read_plan_/write_plan_) and
@@ -226,6 +225,9 @@ class Simulator {
   std::uint64_t wb_sync_flushes_ = 0;
   std::uint64_t wb_periodic_flushes_ = 0;
   std::uint64_t sched_max_depth_ = 0;
+
+  /// Last: its metrics block is large and cold until finish().
+  SimResult result_;
 };
 
 /// Convenience: simulate a single trace under a policy.

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
@@ -251,7 +252,7 @@ std::vector<SweepCell> make_grid(
 
 namespace {
 
-void write_json_string(std::ostream& os, const std::string& s) {
+void write_json_string(std::ostream& os, std::string_view s) {
   os << '"';
   for (const char c : s) {
     switch (c) {

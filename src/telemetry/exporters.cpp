@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <ostream>
+#include <string_view>
 
 namespace flexfetch::telemetry {
 
@@ -15,15 +16,15 @@ void write_num(std::ostream& os, double v) {
   os << buf;
 }
 
-void write_json_string(std::ostream& os, const char* s) {
+void write_json_string(std::ostream& os, std::string_view s) {
   os << '"';
-  for (; *s != '\0'; ++s) {
-    switch (*s) {
+  for (const char c : s) {
+    switch (c) {
       case '"': os << "\\\""; break;
       case '\\': os << "\\\\"; break;
       case '\n': os << "\\n"; break;
       case '\t': os << "\\t"; break;
-      default: os << *s;
+      default: os << c;
     }
   }
   os << '"';
@@ -77,7 +78,7 @@ void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events,
   if (metrics != nullptr) {
     for (const auto& [name, m] : metrics->items()) {
       os << ",\n    ";
-      write_json_string(os, name.c_str());
+      write_json_string(os, name);
       os << ": ";
       write_num(os, m.value);
     }

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/error.hpp"
-
 namespace flexfetch::telemetry {
 
 std::size_t Histogram::bucket_of(double v) {
   if (!(v > 0.0)) return 0;  // Zeros, negatives, and NaN underflow.
+  // frexp leaves the exponent of an infinity unspecified.
+  if (std::isinf(v)) return kBuckets - 1;
   int exp = 0;
   // frexp: v = m * 2^exp with m in [0.5, 1) — so v < 2^exp <= 2v, and
   // bucket b = exp - kMinExp covers [2^(b+kMinExp-1), 2^(b+kMinExp)).
@@ -50,69 +50,38 @@ void Histogram::merge(const Histogram& other) {
   for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
 }
 
-Metric& MetricsRegistry::touch(std::string_view name, MetricKind kind) {
-  auto it = metrics_.find(name);
-  if (it == metrics_.end()) {
-    it = metrics_.emplace(std::string(name), Metric{0.0, kind}).first;
-  } else {
-    FF_REQUIRE(it->second.kind == kind,
-               "metrics: '" + it->first + "' used with two different kinds");
-  }
-  return it->second;
-}
-
-void MetricsRegistry::add(std::string_view name, double delta) {
-  touch(name, MetricKind::kCounter).value += delta;
-}
-
-void MetricsRegistry::set(std::string_view name, double value) {
-  touch(name, MetricKind::kGauge).value = value;
-}
-
-void MetricsRegistry::set_max(std::string_view name, double value) {
-  Metric& m = touch(name, MetricKind::kMax);
-  m.value = std::max(m.value, value);
-}
-
 double MetricsRegistry::value(std::string_view name) const {
-  const auto it = metrics_.find(name);
-  return it != metrics_.end() ? it->second.value : 0.0;
+  const auto id = find_metric(name);
+  return id ? value(*id) : 0.0;
 }
 
 bool MetricsRegistry::contains(std::string_view name) const {
-  return metrics_.contains(name);
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), Histogram{}).first;
-  }
-  return it->second;
+  const auto id = find_metric(name);
+  return id && contains(*id);
 }
 
 const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
-  const auto it = histograms_.find(name);
-  return it != histograms_.end() ? &it->second : nullptr;
-}
-
-void MetricsRegistry::restore(std::string_view name, MetricKind kind,
-                              double value) {
-  touch(name, kind).value = value;
+  const auto id = find_hist(name);
+  return id ? find_histogram(*id) : nullptr;
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, m] : other.metrics_) {
-    Metric& mine = touch(name, m.kind);
-    switch (m.kind) {
-      case MetricKind::kCounter: mine.value += m.value; break;
-      case MetricKind::kGauge: mine.value = m.value; break;
-      case MetricKind::kMax: mine.value = std::max(mine.value, m.value); break;
+  if (other.empty()) return;
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    if (!other.present_.test(i)) continue;
+    double& mine = values_[i];
+    const double theirs = other.values_[i];
+    switch (kMetricTable[i].kind) {
+      case MetricKind::kCounter: mine += theirs; break;
+      case MetricKind::kGauge: mine = theirs; break;
+      case MetricKind::kMax: mine = std::max(mine, theirs); break;
     }
   }
-  for (const auto& [name, h] : other.histograms_) {
-    histogram(name).merge(h);
+  for (std::size_t i = 0; i < kHistCount; ++i) {
+    if (other.hist_present_.test(i)) hists_[i].merge(other.hists_[i]);
   }
+  present_ |= other.present_;
+  hist_present_ |= other.hist_present_;
 }
 
 }  // namespace flexfetch::telemetry

@@ -1,12 +1,15 @@
-// Named counters, gauges, and fixed-bucket histograms with deterministic
-// ordering and merge.
+// Counters, gauges, and fixed-bucket histograms in fixed slots, with
+// deterministic ordering and merge.
 //
 // The registry is the aggregate face of telemetry: at the end of a run the
 // simulator snapshots every substrate's statistics into one flat namespace
 // ("cache.hits", "disk.spin_ups", "ff.audit_overrides"...) so sweeps can
 // carry per-cell metrics in their results and merge them across cells.
-// Keys are kept sorted (std::map), so iteration — and therefore every
-// exporter — is deterministic.
+// The namespace is fixed at compile time (metric_table.hpp): a registry is
+// one array of scalar slots and one of histogram slots, each with explicit
+// presence bits, written by MetricId or HistId. A merge is an array fold,
+// and nothing allocates. Iteration visits the present slots in table
+// order, which is name order, so every exporter is deterministic.
 //
 // Histograms are the pre-aggregated face of what full event capture would
 // record per event: fixed power-of-two buckets (so merging two histograms
@@ -18,20 +21,17 @@
 // fleet-scale sweep.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bitset>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <string_view>
 
-namespace flexfetch::telemetry {
+#include "common/error.hpp"
+#include "telemetry/metric_table.hpp"
 
-enum class MetricKind : std::uint8_t {
-  kCounter,  ///< Accumulates; merge adds.
-  kGauge,    ///< Last value wins; merge takes the other's value.
-  kMax,      ///< High-watermark; merge takes the maximum.
-};
+namespace flexfetch::telemetry {
 
 struct Metric {
   double value = 0.0;
@@ -99,53 +99,146 @@ class Histogram {
   std::array<std::uint64_t, kBuckets> buckets_{};
 };
 
-class MetricsRegistry {
+/// The present slots of one half of a registry, in table order, as
+/// (name, value) pairs. `Read` maps a present slot index to its pair.
+template <std::size_t N, typename Read>
+class PresentSlots {
  public:
-  /// Adds `delta` to a counter (created at zero on first use).
-  void add(std::string_view name, double delta = 1.0);
-  /// Sets a gauge.
-  void set(std::string_view name, double value);
-  /// Raises a high-watermark gauge.
-  void set_max(std::string_view name, double value);
+  PresentSlots(const std::bitset<N>& present, Read read)
+      : present_(&present), read_(read) {}
 
-  /// Value of a metric, 0.0 if absent.
-  double value(std::string_view name) const;
-  bool contains(std::string_view name) const;
-  bool empty() const { return metrics_.empty() && histograms_.empty(); }
-  std::size_t size() const { return metrics_.size(); }
+  class iterator {
+   public:
+    auto operator*() const { return read_(i_); }
+    iterator& operator++() {
+      i_ = next(*present_, i_ + 1);
+      return *this;
+    }
+    bool operator==(const iterator& other) const { return i_ == other.i_; }
 
-  /// The named histogram, created empty on first use. Named histograms
-  /// live beside the scalar namespace; exporters surface them separately
-  /// (sweep cell JSON stays scalar-only).
-  Histogram& histogram(std::string_view name);
-  const Histogram* find_histogram(std::string_view name) const;
+   private:
+    friend PresentSlots;
+    iterator(const std::bitset<N>* present, Read read, std::size_t i)
+        : present_(present), read_(read), i_(next(*present, i)) {}
+    const std::bitset<N>* present_;
+    Read read_;
+    std::size_t i_;
+  };
 
-  /// Folds `other` in per metric kind: counters add, gauges take the
-  /// other's value, high-watermarks take the maximum, histograms merge
-  /// bucket-wise. Using one name with two different kinds is a
-  /// ConfigError.
-  void merge(const MetricsRegistry& other);
-
-  /// Checkpoint-restore: recreates a metric with its exact serialized
-  /// kind and value (no arithmetic — a counter restored this way is
-  /// bit-identical to the one that was saved, which add() from zero
-  /// cannot guarantee for every double). Throws ConfigError if the name
-  /// already exists with a different kind.
-  void restore(std::string_view name, MetricKind kind, double value);
-
-  /// Sorted name -> metric view (deterministic iteration order).
-  const std::map<std::string, Metric, std::less<>>& items() const {
-    return metrics_;
-  }
-  const std::map<std::string, Histogram, std::less<>>& histograms() const {
-    return histograms_;
-  }
+  iterator begin() const { return {present_, read_, 0}; }
+  iterator end() const { return {present_, read_, N}; }
+  std::size_t size() const { return present_->count(); }
+  bool empty() const { return present_->none(); }
 
  private:
-  Metric& touch(std::string_view name, MetricKind kind);
+  static std::size_t next(const std::bitset<N>& present, std::size_t i) {
+    while (i < N && !present[i]) ++i;
+    return i;
+  }
 
-  std::map<std::string, Metric, std::less<>> metrics_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
+  const std::bitset<N>* present_;
+  Read read_;
+};
+
+struct MetricEntry {
+  std::string_view name;
+  Metric metric;
+};
+
+struct HistogramEntry {
+  std::string_view name;
+  const Histogram& histogram;
+};
+
+class MetricsRegistry {
+ public:
+  /// Adds `delta` to a counter (a fresh slot holds 0.0).
+  void add(MetricId id, double delta = 1.0) {
+    slot(id, MetricKind::kCounter) += delta;
+  }
+  /// Sets a gauge.
+  void set(MetricId id, double value) {
+    slot(id, MetricKind::kGauge) = value;
+  }
+  /// Raises a high-watermark (a fresh slot holds 0.0).
+  void set_max(MetricId id, double value) {
+    double& v = slot(id, MetricKind::kMax);
+    v = std::max(v, value);
+  }
+  /// Checkpoint-restore: marks the slot present with exactly `value` (no
+  /// arithmetic — a counter restored this way is bit-identical to the one
+  /// that was saved, which add() from zero cannot guarantee for every
+  /// double).
+  void restore(MetricId id, double value) {
+    const auto i = static_cast<std::size_t>(id);
+    present_.set(i);
+    values_[i] = value;
+  }
+
+  /// The histogram slot, marked present (and empty) on first use.
+  Histogram& histogram(HistId id) {
+    const auto i = static_cast<std::size_t>(id);
+    hist_present_.set(i);
+    return hists_[i];
+  }
+
+  bool contains(MetricId id) const {
+    return present_.test(static_cast<std::size_t>(id));
+  }
+  /// Value of a slot, 0.0 if absent.
+  double value(MetricId id) const {
+    return values_[static_cast<std::size_t>(id)];
+  }
+  const Histogram* find_histogram(HistId id) const {
+    const auto i = static_cast<std::size_t>(id);
+    return hist_present_.test(i) ? &hists_[i] : nullptr;
+  }
+
+  /// Lookups by name (a binary search of the table): a name outside the
+  /// table is absent.
+  double value(std::string_view name) const;
+  bool contains(std::string_view name) const;
+  const Histogram* find_histogram(std::string_view name) const;
+
+  bool empty() const { return present_.none() && hist_present_.none(); }
+  /// Present scalar slots.
+  std::size_t size() const { return present_.count(); }
+
+  /// Folds `other` in slot by slot: counters add, gauges take the other's
+  /// value, high-watermarks take the maximum, histograms merge
+  /// bucket-wise. A slot present in `other` becomes present here.
+  void merge(const MetricsRegistry& other);
+
+  /// Present scalar slots in table (name) order, as {name, metric}.
+  auto items() const {
+    return PresentSlots(present_, [this](std::size_t i) {
+      return MetricEntry{kMetricTable[i].name,
+                         Metric{values_[i], kMetricTable[i].kind}};
+    });
+  }
+  /// Present histogram slots in table (name) order, as {name, histogram}.
+  auto histograms() const {
+    return PresentSlots(hist_present_, [this](std::size_t i) {
+      return HistogramEntry{kHistTable[i].name, hists_[i]};
+    });
+  }
+
+  bool operator==(const MetricsRegistry& other) const = default;
+
+ private:
+  double& slot(MetricId id, MetricKind kind) {
+    FF_ASSERT(kind_of(id) == kind);
+    const auto i = static_cast<std::size_t>(id);
+    present_.set(i);
+    return values_[i];
+  }
+
+  // An absent slot holds its initial 0.0 or empty histogram, so writes and
+  // merges need no first-use branch and == can compare whole arrays.
+  std::array<double, kMetricCount> values_{};
+  std::array<Histogram, kHistCount> hists_{};
+  std::bitset<kMetricCount> present_;
+  std::bitset<kHistCount> hist_present_;
 };
 
 }  // namespace flexfetch::telemetry

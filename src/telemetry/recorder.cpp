@@ -20,22 +20,6 @@ TelemetryConfig full_capture_config(std::size_t capacity) {
 
 }  // namespace
 
-const char* hist_name(HistId id) {
-  switch (id) {
-    case HistId::kSyscallLatency: return "hist.syscall_latency_s";
-    case HistId::kDiskService: return "hist.disk_service_s";
-    case HistId::kWnicService: return "hist.wnic_service_s";
-    case HistId::kDiskBytes: return "hist.disk_request_bytes";
-    case HistId::kWnicBytes: return "hist.wnic_request_bytes";
-    case HistId::kSchedDepth: return "hist.sched_depth";
-    case HistId::kMediumShare: return "hist.medium_share";
-    case HistId::kServerQueueDelay: return "hist.server_queue_wait_s";
-    case HistId::kServerQueueDepth: return "hist.server_queue_depth";
-    case HistId::kCount: break;
-  }
-  return "?";
-}
-
 Recorder::Recorder(const TelemetryConfig& config)
     : capacity_(round_up_pow2(config.ring_capacity)),
       mask_(capacity_ > 0 ? capacity_ - 1 : 0),
@@ -58,7 +42,7 @@ Recorder::Recorder(std::size_t capacity)
 void Recorder::export_histograms(MetricsRegistry& m) const {
   for (std::size_t i = 0; i < kHistCount; ++i) {
     if (hist_[i].empty()) continue;
-    m.histogram(hist_name(static_cast<HistId>(i))).merge(hist_[i]);
+    m.histogram(static_cast<HistId>(i)).merge(hist_[i]);
   }
 }
 

@@ -37,28 +37,6 @@ namespace flexfetch::telemetry {
 /// Ring capacity handed to cells that opt into full event capture.
 inline constexpr std::size_t kDefaultRingCapacity = std::size_t{1} << 16;
 
-/// Pre-aggregated hot-path histograms, folded per sample into fixed
-/// enum-indexed slots (no name lookup on the emit path) and snapshotted
-/// into the MetricsRegistry at the end of a run.
-enum class HistId : std::uint8_t {
-  kSyscallLatency,  ///< Per-syscall service delay (seconds).
-  kDiskService,     ///< Per-request disk service time (seconds).
-  kWnicService,     ///< Per-request WNIC service time (seconds).
-  kDiskBytes,       ///< Per-request disk transfer size (bytes).
-  kWnicBytes,       ///< Per-request WNIC transfer size (bytes).
-  kSchedDepth,      ///< C-SCAN queue depth at batch dispatch.
-  kMediumShare,     ///< Contended airtime share at bulk-transfer start.
-  kServerQueueDelay,  ///< Server admission wait per queued transfer (s).
-  kServerQueueDepth,  ///< Busy server slots seen at transfer arrival (>0).
-  kCount,
-};
-
-inline constexpr std::size_t kHistCount =
-    static_cast<std::size_t>(HistId::kCount);
-
-/// Registry name of a built-in histogram ("hist.syscall_latency_s"...).
-const char* hist_name(HistId id);
-
 /// Telemetry knobs carried in SimConfig.
 struct TelemetryConfig {
   bool enabled = false;
@@ -145,16 +123,16 @@ class Recorder {
     push(r);
   }
 
-  /// Built-in pre-aggregated histogram (see HistId). Folding a sample is
-  /// an array index + Histogram::record — no admission, no allocation.
+  /// Pre-aggregated hot-path histogram, one per HistId slot (kLossRate
+  /// stays empty: FlexFetchPolicy keeps its own). Folding a sample is an
+  /// array index + Histogram::record — no admission, no allocation.
   Histogram& hist(HistId id) {
     return hist_[static_cast<std::size_t>(id)];
   }
   const Histogram& hist(HistId id) const {
     return hist_[static_cast<std::size_t>(id)];
   }
-  /// Snapshots every non-empty built-in histogram into `m` under its
-  /// hist_name.
+  /// Snapshots every non-empty histogram into the same slot of `m`.
   void export_histograms(MetricsRegistry& m) const;
 
   std::size_t capacity() const { return capacity_; }

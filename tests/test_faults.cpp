@@ -327,7 +327,7 @@ TEST(FaultFailover, MidStageOutageFlipsNetworkToDisk) {
   EXPECT_TRUE(saw_reevaluate);
   EXPECT_TRUE(saw_switch);
   EXPECT_TRUE(saw_splice);
-  EXPECT_EQ(r.metrics.items().count("ff.fault_switches"), 1u);
+  EXPECT_TRUE(r.metrics.contains("ff.fault_switches"));
 }
 
 TEST(FaultFailover, StaticVariantNeverReacts) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -236,6 +237,50 @@ TEST(Checkpoint, TruncatedLinesAreRejectedNotMisparsed) {
   for (const char* index : {"-1", "99999999999999999999", "+3"}) {
     EXPECT_FALSE(parse_block_line(std::string("block ") + index + rest, &out))
         << "block index " << index << " parsed";
+  }
+
+  // The line with token i (0-based, space-separated) replaced.
+  std::vector<std::string> tokens;
+  std::istringstream words(line);
+  for (std::string token; words >> token;) tokens.push_back(token);
+  const auto with = [&tokens](std::size_t i, const std::string& token) {
+    std::string edited;
+    for (std::size_t k = 0; k < tokens.size(); ++k) {
+      edited += (k == 0 ? "" : " ") + (k == i ? token : tokens[k]);
+    }
+    return edited;
+  };
+  const auto index_of = [&tokens](const std::string& token) {
+    const auto it = std::find(tokens.begin(), tokens.end(), token);
+    EXPECT_NE(it, tokens.end()) << token;
+    return static_cast<std::size_t>(it - tokens.begin());
+  };
+  ASSERT_TRUE(parse_block_line(with(0, "block"), &out));
+
+  // Metric names and kinds come from the metric table: a name outside it,
+  // a kind other than its own and a name given twice in one stratum (with
+  // the same kind, or with two kinds) are malformed, not merged.
+  const std::size_t syscalls = index_of("sim.syscalls");  // Then kind, value.
+  const std::size_t sync_bytes = index_of("sim.sync_bytes");
+  EXPECT_FALSE(parse_block_line(with(syscalls, "made.up"), &out));
+  EXPECT_FALSE(parse_block_line(with(syscalls + 1, "1"), &out));
+  EXPECT_FALSE(parse_block_line(with(sync_bytes, "sim.syscalls"), &out));
+  tokens[syscalls + 1] = "1";
+  EXPECT_FALSE(parse_block_line(with(sync_bytes, "sim.syscalls"), &out));
+  tokens[syscalls + 1] = "0";
+
+  // A double is only what put_hex writes: -?0x<hex>[.<hex>]p[+-]<digits>.
+  const std::size_t stat_mean = index_of("stat") + 2;
+  const std::size_t metric_value = syscalls + 2;
+  const std::size_t hists = index_of("hists");
+  ASSERT_NE(tokens[hists + 1], "0");
+  const std::size_t hist_sum = hists + 4;  // After the name and the count.
+  for (const std::size_t at : {stat_mean, metric_value, hist_sum}) {
+    ASSERT_TRUE(parse_block_line(with(at, "-0x1.8p+1"), &out));
+    for (const char* spelling : {"1.5", "+0x1p+0", "0X1P+0", "inf", "nan"}) {
+      EXPECT_FALSE(parse_block_line(with(at, spelling), &out))
+          << spelling << " parsed as token " << at;
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 // BufferCache::lookup/fill/write/clear and CScanScheduler::submit/dispatch
 // perform no heap allocation. Pages of files never registered grow their
 // page index on first touch; a repeated pass over them allocates nothing.
+// Writing and merging a MetricsRegistry allocates nothing either.
 // Global operator new/delete are replaced with counting versions (this test
 // lives in its own binary for that reason).
 #include <cstdint>
@@ -16,6 +17,7 @@
 
 #include "os/buffer_cache.hpp"
 #include "os/io_scheduler.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace {
 
@@ -174,6 +176,31 @@ TEST(HotpathAllocation, CScanSteadyStateIsAllocationFree) {
   const std::uint64_t after = allocation_count();
   EXPECT_EQ(after - before, 0u)
       << "CScanScheduler steady state allocated " << (after - before) << " times";
+}
+
+TEST(HotpathAllocation, MetricsWriteAndMergeAreAllocationFree) {
+  using telemetry::MetricKind;
+  const std::uint64_t before = allocation_count();
+  telemetry::MetricsRegistry written;
+  for (const auto& row : telemetry::kMetricTable) {
+    switch (row.kind) {
+      case MetricKind::kCounter: written.add(row.id, 1.0); break;
+      case MetricKind::kGauge: written.set(row.id, 2.0); break;
+      case MetricKind::kMax: written.set_max(row.id, 3.0); break;
+    }
+  }
+  for (const auto& row : telemetry::kHistTable) {
+    written.histogram(row.id).record(0.5);
+  }
+  telemetry::MetricsRegistry merged;
+  merged.merge(written);
+  merged.merge(written);
+  const std::uint64_t after = allocation_count();
+  EXPECT_EQ(after - before, 0u)
+      << "metrics writes and merges allocated " << (after - before) << " times";
+  EXPECT_EQ(merged.size(), telemetry::kMetricCount);
+  EXPECT_EQ(merged.histograms().size(), telemetry::kHistCount);
+  EXPECT_DOUBLE_EQ(merged.value("sim.syscalls"), 2.0);
 }
 
 TEST(HotpathAllocation, ConstructionAllocatesOnlyFixedStructures) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -217,63 +219,91 @@ TEST(Admission, RejectedEmitNeverEvaluatesArgs) {
 // --- Metrics registry -------------------------------------------------------
 
 TEST(Metrics, CounterGaugeAndMaxSemantics) {
+  using enum telemetry::MetricId;
   MetricsRegistry m;
-  m.add("c");
-  m.add("c", 2.5);
-  EXPECT_DOUBLE_EQ(m.value("c"), 3.5);
+  m.add(kSimSyscalls);
+  m.add(kSimSyscalls, 2.5);
+  EXPECT_DOUBLE_EQ(m.value("sim.syscalls"), 3.5);
 
-  m.set("g", 7.0);
-  m.set("g", 4.0);
-  EXPECT_DOUBLE_EQ(m.value("g"), 4.0);
+  m.set(kSimMakespanS, 7.0);
+  m.set(kSimMakespanS, 4.0);
+  EXPECT_DOUBLE_EQ(m.value("sim.makespan_s"), 4.0);
 
-  m.set_max("hw", 3.0);
-  m.set_max("hw", 9.0);
-  m.set_max("hw", 5.0);
-  EXPECT_DOUBLE_EQ(m.value("hw"), 9.0);
+  m.set_max(kSchedMaxDepth, 3.0);
+  m.set_max(kSchedMaxDepth, 9.0);
+  m.set_max(kSchedMaxDepth, 5.0);
+  EXPECT_DOUBLE_EQ(m.value(kSchedMaxDepth), 9.0);
 
-  EXPECT_DOUBLE_EQ(m.value("absent"), 0.0);
+  // A counter added with 0 is present: presence is a bit, not a value.
+  m.add(kCacheHits, 0.0);
+  EXPECT_TRUE(m.contains("cache.hits"));
+
+  EXPECT_DOUBLE_EQ(m.value("cache.lookups"), 0.0);
+  EXPECT_FALSE(m.contains("cache.lookups"));
   EXPECT_FALSE(m.contains("absent"));
-  EXPECT_EQ(m.size(), 3u);
+  EXPECT_DOUBLE_EQ(m.value("absent"), 0.0);
+  EXPECT_EQ(m.size(), 4u);
 }
 
 TEST(Metrics, MergeFoldsPerKind) {
+  using enum telemetry::MetricId;
   MetricsRegistry a;
-  a.add("c", 10.0);
-  a.set("g", 1.0);
-  a.set_max("hw", 5.0);
-  a.add("only_a", 1.0);
+  a.add(kSimSyscalls, 10.0);
+  a.set(kSimMakespanS, 1.0);
+  a.set_max(kSchedMaxDepth, 5.0);
+  a.add(kCacheHits, 1.0);
 
   MetricsRegistry b;
-  b.add("c", 4.0);
-  b.set("g", 2.0);
-  b.set_max("hw", 3.0);
+  b.add(kSimSyscalls, 4.0);
+  b.set(kSimMakespanS, 2.0);
+  b.set_max(kSchedMaxDepth, 3.0);
+  b.add(kWbSyncFlushes, 0.0);
 
   a.merge(b);
-  EXPECT_DOUBLE_EQ(a.value("c"), 14.0);   // counters add
-  EXPECT_DOUBLE_EQ(a.value("g"), 2.0);    // gauges take the other's value
-  EXPECT_DOUBLE_EQ(a.value("hw"), 5.0);   // high-watermarks take the max
-  EXPECT_DOUBLE_EQ(a.value("only_a"), 1.0);
-}
-
-TEST(Metrics, KindMismatchIsConfigError) {
-  MetricsRegistry m;
-  m.add("x");
-  EXPECT_THROW(m.set("x", 1.0), ConfigError);
-
-  MetricsRegistry counter, gauge;
-  counter.add("y");
-  gauge.set("y", 1.0);
-  EXPECT_THROW(counter.merge(gauge), ConfigError);
+  EXPECT_DOUBLE_EQ(a.value(kSimSyscalls), 14.0);   // counters add
+  EXPECT_DOUBLE_EQ(a.value(kSimMakespanS), 2.0);   // gauges take the other's value
+  EXPECT_DOUBLE_EQ(a.value(kSchedMaxDepth), 5.0);  // high-watermarks take the max
+  EXPECT_DOUBLE_EQ(a.value(kCacheHits), 1.0);
+  EXPECT_TRUE(a.contains(kWbSyncFlushes));  // present in b, so present here
+  EXPECT_EQ(a.size(), 5u);
 }
 
 TEST(Metrics, ItemsIterateInSortedNameOrder) {
+  // Slots written out of order come back in table order, which is name
+  // order, with each slot's table kind.
+  using enum telemetry::MetricId;
   MetricsRegistry m;
-  m.add("zeta");
-  m.add("alpha");
-  m.add("mid");
+  m.add(kWnicWakes);
+  m.set(kBatteryDrainWEst, 1.0);
+  m.set_max(kSchedMaxDepth, 2.0);
   std::vector<std::string> names;
-  for (const auto& [name, metric] : m.items()) names.push_back(name);
-  EXPECT_EQ(names, (std::vector<std::string>{"alpha", "mid", "zeta"}));
+  std::vector<telemetry::MetricKind> kinds;
+  for (const auto& [name, metric] : m.items()) {
+    names.emplace_back(name);
+    kinds.push_back(metric.kind);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"battery.drain_w_est",
+                                             "sched.max_depth", "wnic.wakes"}));
+  EXPECT_EQ(kinds, (std::vector<telemetry::MetricKind>{
+                       telemetry::MetricKind::kGauge,
+                       telemetry::MetricKind::kMax,
+                       telemetry::MetricKind::kCounter}));
+
+  // Every row, in both halves: iteration order is std::string order.
+  MetricsRegistry all;
+  for (const auto& row : telemetry::kMetricTable) all.restore(row.id, 1.0);
+  for (const auto& row : telemetry::kHistTable) all.histogram(row.id);
+  std::vector<std::string> scalars, hists;
+  for (const auto& [name, metric] : all.items()) scalars.emplace_back(name);
+  for (const auto& [name, h] : all.histograms()) hists.emplace_back(name);
+  EXPECT_EQ(scalars.size(), telemetry::kMetricCount);
+  EXPECT_EQ(hists.size(), telemetry::kHistCount);
+  EXPECT_TRUE(std::is_sorted(scalars.begin(), scalars.end()));
+  EXPECT_TRUE(std::is_sorted(hists.begin(), hists.end()));
+  EXPECT_EQ(telemetry::find_metric("sim.syscalls"), kSimSyscalls);
+  EXPECT_EQ(telemetry::find_hist("ff.loss_rate"), telemetry::HistId::kLossRate);
+  EXPECT_FALSE(telemetry::find_metric("hist.sched_depth").has_value());
+  EXPECT_FALSE(telemetry::find_hist("sim.syscalls").has_value());
 }
 
 // --- Histograms -------------------------------------------------------------
@@ -289,6 +319,13 @@ TEST(Histograms, RecordCoversBucketGeometry) {
   std::uint64_t total = 0;
   for (const auto b : h.buckets()) total += b;
   EXPECT_EQ(total, 3u);
+  EXPECT_EQ(Histogram::bucket_of(1.0e12), Histogram::kBuckets - 1);
+  // +inf is above the range too; NaN and non-positive values underflow.
+  EXPECT_EQ(Histogram::bucket_of(std::numeric_limits<double>::infinity()),
+            Histogram::kBuckets - 1);
+  EXPECT_EQ(Histogram::bucket_of(-std::numeric_limits<double>::infinity()), 0u);
+  EXPECT_EQ(Histogram::bucket_of(std::numeric_limits<double>::quiet_NaN()), 0u);
+  EXPECT_EQ(Histogram::bucket_of(-1.0), 0u);
 }
 
 /// Merge is a bucket-wise integer add, so it must be exact and
@@ -323,15 +360,22 @@ TEST(Histograms, MergeIsExactAndAssociative) {
 }
 
 TEST(Histograms, RegistryMergeFoldsHistograms) {
+  using enum telemetry::HistId;
   MetricsRegistry a, b;
-  a.histogram("h").record(1.0);
-  b.histogram("h").record(2.0);
-  b.histogram("only_b").record(4.0);
+  a.histogram(kSyscallLatency).record(1.0);
+  b.histogram(kSyscallLatency).record(2.0);
+  b.histogram(kDiskService).record(4.0);
+  b.histogram(kWnicService);  // Present though empty, so merged in.
   a.merge(b);
-  ASSERT_NE(a.find_histogram("h"), nullptr);
-  EXPECT_EQ(a.find_histogram("h")->count(), 2u);
-  ASSERT_NE(a.find_histogram("only_b"), nullptr);
-  EXPECT_EQ(a.find_histogram("only_b")->count(), 1u);
+  ASSERT_NE(a.find_histogram("hist.syscall_latency_s"), nullptr);
+  EXPECT_EQ(a.find_histogram("hist.syscall_latency_s")->count(), 2u);
+  ASSERT_NE(a.find_histogram("hist.disk_service_s"), nullptr);
+  EXPECT_EQ(a.find_histogram("hist.disk_service_s")->count(), 1u);
+  ASSERT_NE(a.find_histogram(kWnicService), nullptr);
+  EXPECT_TRUE(a.find_histogram(kWnicService)->empty());
+  EXPECT_EQ(a.find_histogram(kWnicBytes), nullptr);
+  EXPECT_EQ(a.find_histogram("nosuch"), nullptr);
+  EXPECT_EQ(a.histograms().size(), 3u);
 }
 
 // --- Exporters --------------------------------------------------------------
@@ -361,7 +405,7 @@ TEST(Exporters, GoldenChromeTraceJson) {
   rec.counter(kDepth, Seconds{3.0}, 7.0);
 
   MetricsRegistry metrics;
-  metrics.add("disk.requests", 1.0);
+  metrics.add(telemetry::MetricId::kDiskRequests, 1.0);
 
   std::ostringstream os;
   telemetry::write_chrome_trace(os, rec.events(), rec.dropped(), &metrics);
