@@ -76,9 +76,8 @@ int main(int argc, char** argv) {
 
   const std::vector<core::Profile> profiles = {
       core::Profile::from_trace(prior, workloads::kProfileBurstThreshold)};
-  std::vector<sim::ProgramSpec> programs;
-  programs.push_back(
-      sim::ProgramSpec{.trace = std::move(eval), .name = "thunderbird"});
+  const std::vector<sim::ProgramSpec> programs = sim::compile_programs(
+      {sim::ProgramSpec{.trace = std::move(eval), .name = "thunderbird"}});
 
   const trace::TraceStats eval_stats = programs[0].trace.stats();
   std::printf("stale profile: %zu bursts, %s (current run reads %s)\n",

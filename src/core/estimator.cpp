@@ -48,9 +48,9 @@ Estimate SourceEstimator::estimate_disk(const device::Disk& live_disk,
                                         const CacheFilter* filter) {
   return replay(live_disk, bursts, start_time, filter,
                 [&layout](const BurstRequest& r) {
-                  layout.ensure(r.inode, r.offset + r.size);
+                  const trace::FileId file = layout.ensure(r.inode, r.offset + r.size);
                   return device::DeviceRequest{
-                      .lba = layout.lba(r.inode, r.offset),
+                      .lba = layout.lba(file, r.offset),
                       .size = r.size,
                       .is_write = r.is_write,
                   };

@@ -27,28 +27,32 @@ BufferCache::BufferCache(BufferCacheConfig config) : capacity_(config.capacity_p
   arena_.reserve(slots);
 }
 
+void BufferCache::register_files(const trace::CompiledSet& set) {
+  FF_REQUIRE(files_.empty(), "buffer cache: a set is registered on a fresh cache only");
+  ids_.adopt(set);
+  files_.assign(set.page_spans().begin(), set.page_spans().end());
+  index_.assign(set.total_pages(), kNull);
+}
+
 void BufferCache::register_files(const std::map<Inode, Bytes>& extents) {
   for (const auto& [inode, size] : extents) {
     const std::uint64_t pages = page_end_index(Bytes{}, size);
-    FileSpan& span = files_[file(inode)];
+    FileSpan& span = files_[index_of(file(inode))];
     if (pages > span.pages) grow(span, pages - 1);
   }
 }
 
 const BufferCache::FileSpan* BufferCache::find_file(Inode inode) const {
-  if (memo_ < files_.size() && files_[memo_].inode == inode) return &files_[memo_];
-  const auto it = std::lower_bound(files_.begin(), files_.end(), inode, below);
-  return it != files_.end() && it->inode == inode ? &*it : nullptr;
+  const auto f = ids_.find(inode);
+  return f ? &files_[index_of(*f)] : nullptr;
 }
 
 BufferCache::FileHandle BufferCache::file(Inode inode) {
-  if (const FileSpan* known = find_file(inode)) {
-    return memo_ = static_cast<FileHandle>(known - files_.data());
+  const FileHandle f = ids_.add(inode);
+  if (index_of(f) == files_.size()) {
+    files_.push_back(FileSpan{inode, static_cast<std::uint32_t>(index_.size()), 0});
   }
-  const auto it = std::lower_bound(files_.begin(), files_.end(), inode, below);
-  memo_ = static_cast<FileHandle>(it - files_.begin());
-  files_.insert(it, FileSpan{inode, static_cast<std::uint32_t>(index_.size()), 0});
-  return memo_;
+  return f;
 }
 
 std::uint32_t BufferCache::slot_of(const PageId& id) const {
@@ -57,7 +61,7 @@ std::uint32_t BufferCache::slot_of(const PageId& id) const {
 }
 
 std::uint32_t BufferCache::cell(FileHandle f, std::uint64_t page) {
-  FileSpan& span = files_[f];
+  FileSpan& span = files_[index_of(f)];
   if (page >= span.pages) grow(span, page);
   return span.base + static_cast<std::uint32_t>(page);
 }
@@ -66,8 +70,8 @@ void BufferCache::grow(FileSpan& span, std::uint64_t page) {
   const bool at_end = span.base + std::uint64_t{span.pages} == index_.size();
   const std::uint64_t base = at_end ? span.base : index_.size();
   // Positions stay below kNull. In a Simulator every indexed page lies in a
-  // compiled extent (plus one readahead window) that FileLayout has fitted
-  // on the disk, so this bound only stops direct API use.
+  // compiled set's span (plus one readahead window) that FileLayout has
+  // fitted on the disk, so this bound only stops direct API use.
   const std::uint64_t limit = kNull - base;
   FF_REQUIRE(page < limit, "buffer cache: page index too large for 32-bit positions");
   const std::uint64_t pages =
@@ -157,7 +161,8 @@ bool BufferCache::read_page(FileHandle f, std::uint64_t page, bool demanded,
                             Seconds now, std::vector<DirtyPage>& flushed) {
   const std::uint32_t c = cell(f, page);
   if (demanded ? count_lookup(index_[c]) : resident(index_[c])) return true;
-  insert_new(c, PageId{files_[f].inode, page}, /*dirty=*/false, now, flushed);
+  insert_new(c, PageId{files_[index_of(f)].inode, page}, /*dirty=*/false, now,
+             flushed);
   return false;
 }
 
@@ -166,7 +171,8 @@ void BufferCache::write_page(FileHandle f, std::uint64_t page, Seconds now,
   const std::uint32_t c = cell(f, page);
   const std::uint32_t s = index_[c];
   if (!resident(s)) {
-    insert_new(c, PageId{files_[f].inode, page}, /*dirty=*/true, now, flushed);
+    insert_new(c, PageId{files_[index_of(f)].inode, page}, /*dirty=*/true, now,
+               flushed);
     return;
   }
   if (!arena_[s].dirty) mark_dirty(s, now);

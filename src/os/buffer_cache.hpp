@@ -17,9 +17,12 @@
 // list are intrusive chains of slot indices. A per-file page index, shaped
 // like Linux's page cache, maps pages to slots: one flat array holds a span
 // per file (page p is cell base + p, kNull when absent); a slot records its
-// cell. Once a run's files are registered no operation allocates: evicted
-// dirty pages go to a caller-owned scratch buffer, and only a page past its
-// file's span grows the span (geometrically, so O(log) times per file).
+// cell. Files are numbered by dense id (trace::FileId): a cache registered
+// from a compiled set copies the set's span table (ids 0..F-1) and sizes the
+// index once; any other inode gets the next id on first use. Once a run's
+// files are registered no operation allocates: evicted dirty pages go to a
+// caller-owned scratch buffer, and only a page past its file's span grows
+// the span (geometrically, so O(log) times per file).
 #pragma once
 
 #include <cstddef>
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "os/page.hpp"
+#include "trace/compiled.hpp"
 
 namespace flexfetch::os {
 
@@ -63,11 +67,17 @@ class BufferCache {
  public:
   explicit BufferCache(BufferCacheConfig config = {});
 
+  /// Adopts the set's file ids and copies its page-span table, sizing the
+  /// index once at the set's total page count. Call first, on a fresh
+  /// cache; `set` must outlive the cache.
+  void register_files(const trace::CompiledSet& set);
+
   /// Sizes the page index of each file of `extents` (inode -> bytes).
   void register_files(const std::map<Inode, Bytes>& extents);
 
-  /// A file's index entry; valid until a new file is added.
-  using FileHandle = std::uint32_t;
+  /// A file's dense id: the set's id, or the next free one for any other
+  /// inode.
+  using FileHandle = trace::FileId;
   /// Resolves `inode`, adding an empty entry for a new file.
   FileHandle file(Inode inode);
 
@@ -152,15 +162,11 @@ class BufferCache {
     std::size_t size = 0;
   };
 
-  struct FileSpan {  // Page p of the file has its slot in index_[base + p].
-    Inode inode;
-    std::uint32_t base, pages;
-  };
+  using FileSpan = trace::PageSpan;
 
   bool resident(std::uint32_t s) const {
     return s != kNull && arena_[s].where != Where::kA1out;
   }
-  static bool below(const FileSpan& f, Inode inode) { return f.inode < inode; }
   const FileSpan* find_file(Inode inode) const;  ///< nullptr if unknown.
   std::uint32_t slot_of(const PageId& id) const;  ///< kNull if not indexed.
   /// index_ cell of `page`, growing the span to reach it.
@@ -191,9 +197,9 @@ class BufferCache {
 
   std::vector<Slot> arena_;  ///< Reserved for capacity_ + kout_ slots.
   std::uint32_t free_head_ = kNull;  ///< Recycled slots only.
-  std::vector<FileSpan> files_;       ///< Sorted by inode.
+  trace::FileIds ids_;
+  std::vector<FileSpan> files_;       ///< By file id.
   std::vector<std::uint32_t> index_;  ///< Every file's span of slots.
-  FileHandle memo_ = kNull;           ///< The last file() result.
 
   Chain a1in_;   ///< head = newest, tail = FIFO eviction end.
   Chain am_;     ///< head = MRU, tail = LRU.

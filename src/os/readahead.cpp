@@ -12,13 +12,18 @@ Readahead::Readahead(ReadaheadConfig config) : config_(config) {
              "readahead: max window below min window");
 }
 
-PageRange Readahead::on_read(Inode inode, Bytes offset, Bytes size) {
+void Readahead::reserve_files(std::size_t count) {
+  if (streams_.size() < count) streams_.resize(count);
+}
+
+PageRange Readahead::on_read(trace::FileId file, Bytes offset, Bytes size) {
   FF_REQUIRE(size > Bytes{}, "readahead: zero-size read");
   const std::uint64_t first = page_index(offset);
   const std::uint64_t last_end = page_end_index(offset, size);
   const std::uint64_t demand = last_end - first;
 
-  Stream& s = streams_[inode];
+  reserve_files(index_of(file) + 1);
+  Stream& s = streams_[index_of(file)];
   // Sequential continuation: the read starts at or before the expected
   // next demanded page and does not end before it.
   const bool sequential =
@@ -44,14 +49,17 @@ PageRange Readahead::on_read(Inode inode, Bytes offset, Bytes size) {
   s.prefetch_end = want_end;
 
   return PageRange{
-      .inode = inode, .first_page = first, .page_count = want_end - first};
+      .first_page = first, .page_count = want_end - first, .file = file};
 }
 
-void Readahead::forget(Inode inode) { streams_.erase(inode); }
+void Readahead::forget(trace::FileId file) {
+  if (index_of(file) < streams_.size()) streams_[index_of(file)] = Stream{};
+}
 
-std::uint64_t Readahead::window_pages(Inode inode) const {
-  auto it = streams_.find(inode);
-  return it == streams_.end() ? config_.min_window_pages : it->second.window;
+std::uint64_t Readahead::window_pages(trace::FileId file) const {
+  const std::size_t f = index_of(file);
+  return f < streams_.size() && streams_[f].window != 0 ? streams_[f].window
+                                                        : config_.min_window_pages;
 }
 
 }  // namespace flexfetch::os

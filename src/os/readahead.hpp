@@ -5,11 +5,11 @@
 // that continues the sequential stream grows the window (doubling, Linux
 // style) up to 32 pages = 128 KiB; a non-sequential read resets it. The
 // engine turns each application read into the page range the kernel would
-// actually request from the device.
+// actually request from the device. Streams live in a flat array indexed by
+// dense file id.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "os/page.hpp"
@@ -26,6 +26,8 @@ struct PageRange {
   Inode inode = 0;
   std::uint64_t first_page = 0;
   std::uint64_t page_count = 0;
+  /// The file's dense id in the cache that planned the range.
+  trace::FileId file{};
 
   std::uint64_t end_page() const { return first_page + page_count; }
   Bytes offset() const { return first_page * kPageSize; }
@@ -36,26 +38,30 @@ class Readahead {
  public:
   explicit Readahead(ReadaheadConfig config = {});
 
-  /// Computes the page range to make resident for a read of
-  /// [offset, offset+size) in `inode`, including the prefetch extension.
-  /// Updates the per-file sequential-detection state.
-  PageRange on_read(Inode inode, Bytes offset, Bytes size);
+  /// Makes room for files 0..count-1, so reading them never allocates.
+  void reserve_files(std::size_t count);
 
-  /// Forgets per-file state (file closed).
-  void forget(Inode inode);
+  /// Computes the page range to make resident for a read of
+  /// [offset, offset+size) in `file`, including the prefetch extension.
+  /// Updates the per-file sequential-detection state. The range carries
+  /// `file` and no inode.
+  PageRange on_read(trace::FileId file, Bytes offset, Bytes size);
+
+  /// Forgets per-file state (file closed): the stream reads as unknown.
+  void forget(trace::FileId file);
 
   /// Current window size in pages for a file (min window if unknown).
-  std::uint64_t window_pages(Inode inode) const;
+  std::uint64_t window_pages(trace::FileId file) const;
 
  private:
   struct Stream {
     std::uint64_t next_demand = 0;   ///< Expected next demanded page.
     std::uint64_t prefetch_end = 0;  ///< End of the area already requested.
-    std::uint64_t window = 0;        ///< Current ahead-window; 0 = fresh.
+    std::uint64_t window = 0;        ///< Current ahead-window; 0 = unknown.
   };
 
   ReadaheadConfig config_;
-  std::unordered_map<Inode, Stream> streams_;
+  std::vector<Stream> streams_;  ///< By file id.
 };
 
 }  // namespace flexfetch::os

@@ -30,13 +30,18 @@ Vfs::Vfs(VfsConfig config)
       readahead_(config.readahead),
       writeback_(config.writeback) {}
 
-void Vfs::plan_read(const trace::SyscallRecord& r, Seconds now,
-                    Bytes file_extent, std::uint64_t demand_first,
+void Vfs::register_files(const trace::CompiledSet& set) {
+  cache_.register_files(set);
+  readahead_.reserve_files(set.file_count());
+}
+
+void Vfs::plan_read(const trace::SyscallRecord& r, trace::FileId file,
+                    Seconds now, Bytes file_extent, std::uint64_t demand_first,
                     std::uint64_t demand_end, ReadPlan& plan) {
   FF_REQUIRE(r.op == trace::OpType::kRead, "plan_read: not a read record");
   plan.reset();
 
-  const PageRange want = readahead_.on_read(r.inode, r.offset, r.size);
+  const PageRange want = readahead_.on_read(file, r.offset, r.size);
   plan.pages_demanded = demand_end - demand_first;
 
   // Prefetch stops at end-of-file; demand is always honoured.
@@ -46,7 +51,6 @@ void Vfs::plan_read(const trace::SyscallRecord& r, Seconds now,
                         std::min(want_end, page_end_index(Bytes{}, file_extent)));
   }
 
-  const BufferCache::FileHandle file = cache_.file(r.inode);
   std::optional<PageRange> open_run;
   for (std::uint64_t p = want.first_page; p < want_end; ++p) {
     // Readahead pages do not count as application lookups. A miss is filled
@@ -64,10 +68,18 @@ void Vfs::plan_read(const trace::SyscallRecord& r, Seconds now,
       ++open_run->page_count;
     } else {
       if (open_run) plan.fetches.push_back(*open_run);
-      open_run = PageRange{.inode = r.inode, .first_page = p, .page_count = 1};
+      open_run = PageRange{
+          .inode = r.inode, .first_page = p, .page_count = 1, .file = file};
     }
   }
   if (open_run) plan.fetches.push_back(*open_run);
+}
+
+void Vfs::plan_read(const trace::SyscallRecord& r, Seconds now,
+                    Bytes file_extent, std::uint64_t demand_first,
+                    std::uint64_t demand_end, ReadPlan& plan) {
+  plan_read(r, cache_.file(r.inode), now, file_extent, demand_first, demand_end,
+            plan);
 }
 
 ReadPlan Vfs::plan_read(const trace::SyscallRecord& r, Seconds now,
@@ -78,15 +90,20 @@ ReadPlan Vfs::plan_read(const trace::SyscallRecord& r, Seconds now,
   return plan;
 }
 
-void Vfs::plan_write(const trace::SyscallRecord& r, Seconds now,
-                     std::uint64_t first, std::uint64_t end, WritePlan& plan) {
+void Vfs::plan_write(const trace::SyscallRecord& r, trace::FileId file,
+                     Seconds now, std::uint64_t first, std::uint64_t end,
+                     WritePlan& plan) {
   FF_REQUIRE(r.op == trace::OpType::kWrite, "plan_write: not a write record");
   plan.reset();
-  const BufferCache::FileHandle file = cache_.file(r.inode);
   for (std::uint64_t p = first; p < end; ++p) {
     cache_.write_page(file, p, now, plan.evicted_dirty);
     ++plan.pages_dirtied;
   }
+}
+
+void Vfs::plan_write(const trace::SyscallRecord& r, Seconds now,
+                     std::uint64_t first, std::uint64_t end, WritePlan& plan) {
+  plan_write(r, cache_.file(r.inode), now, first, end, plan);
 }
 
 WritePlan Vfs::plan_write(const trace::SyscallRecord& r, Seconds now) {

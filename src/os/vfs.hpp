@@ -49,14 +49,25 @@ class Vfs {
  public:
   explicit Vfs(VfsConfig config = {});
 
-  /// Plans a read into a caller-owned plan (reset() + refilled; reusing one
-  /// plan across calls makes this allocation-free at steady state). Returns
-  /// miss ranges (with readahead applied) and inserts the to-be-fetched
-  /// pages into the cache. `file_extent`, when non-zero, caps the readahead
-  /// at end-of-file (the kernel never prefetches past EOF); the demanded
-  /// range is never truncated. `demand_first`/`demand_end` are the record's
-  /// page span (page_index/page_end_index of its byte range), which compiled
-  /// traces precompute.
+  /// Registers the set's files (ids 0..F-1) with the cache and readahead,
+  /// so planning their reads and writes by id never allocates. Call first;
+  /// `set` must outlive the Vfs.
+  void register_files(const trace::CompiledSet& set);
+
+  /// Plans a read of record `r` on `file` (its dense id) into a caller-owned
+  /// plan (reset() + refilled; reusing one plan across calls makes this
+  /// allocation-free at steady state). Returns miss ranges (with readahead
+  /// applied) and inserts the to-be-fetched pages into the cache.
+  /// `file_extent`, when non-zero, caps the readahead at end-of-file (the
+  /// kernel never prefetches past EOF); the demanded range is never
+  /// truncated. `demand_first`/`demand_end` are the record's page span
+  /// (page_index/page_end_index of its byte range), which compiled traces
+  /// precompute.
+  void plan_read(const trace::SyscallRecord& r, trace::FileId file, Seconds now,
+                 Bytes file_extent, std::uint64_t demand_first,
+                 std::uint64_t demand_end, ReadPlan& plan);
+
+  /// Inode form: resolves r.inode through the cache.
   void plan_read(const trace::SyscallRecord& r, Seconds now, Bytes file_extent,
                  std::uint64_t demand_first, std::uint64_t demand_end,
                  ReadPlan& plan);
@@ -65,7 +76,11 @@ class Vfs {
   ReadPlan plan_read(const trace::SyscallRecord& r, Seconds now,
                      Bytes file_extent = Bytes{});
 
-  /// Plans a buffered write: dirties the pages of [first, end).
+  /// Plans a buffered write: dirties the pages of [first, end) of `file`.
+  void plan_write(const trace::SyscallRecord& r, trace::FileId file, Seconds now,
+                  std::uint64_t first, std::uint64_t end, WritePlan& plan);
+
+  /// Inode form: resolves r.inode through the cache.
   void plan_write(const trace::SyscallRecord& r, Seconds now,
                   std::uint64_t first, std::uint64_t end, WritePlan& plan);
 

@@ -73,7 +73,22 @@ constexpr tele::EventDesc kCacheDirty{.name = "cache.dirty",
 
 }  // namespace
 
-Simulator::Simulator(SimConfig config, std::vector<ProgramSpec> programs,
+std::vector<ProgramSpec> compile_programs(std::vector<ProgramSpec> programs) {
+  std::vector<trace::CompiledSet::Member> members;
+  members.reserve(programs.size());
+  for (const ProgramSpec& p : programs) {
+    members.push_back({.trace = &p.trace, .disk_pinned = p.disk_pinned});
+  }
+  const auto set = trace::CompiledSet::compile(members);
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    // Aliasing pointer: reaches program i, owns the whole set.
+    programs[i].compiled =
+        std::shared_ptr<const trace::CompiledTrace>(set, &set->program(i));
+  }
+  return programs;
+}
+
+Simulator::Simulator(SimConfig config, const std::vector<ProgramSpec>& programs,
                      Policy& policy)
     : config_(config),
       policy_(policy),
@@ -101,21 +116,26 @@ Simulator::Simulator(SimConfig config, std::vector<ProgramSpec> programs,
     disk_.set_fault_schedule(&config_.faults.disk);
     wnic_.set_fault_schedule(&config_.faults.wnic);
   }
-  for (auto& spec : programs) {
-    Program p;
-    p.spec = std::move(spec);
-    // The compiled trace carries the closed-loop think times, per-record
-    // page spans, and file extents derived once from the trace.
-    if (p.spec.compiled != nullptr) {
-      p.ct = p.spec.compiled.get();
-    } else {
-      p.owned = std::make_shared<trace::CompiledTrace>(p.spec.trace);
-      p.ct = p.owned.get();
-    }
-    if (p.spec.disk_pinned) {
-      for (const auto& file : p.ct->file_extents()) pinned_inodes_.insert(file.first);
-    }
-    programs_.push_back(std::move(p));
+  const trace::CompiledTrace* first = programs.front().compiled.get();
+  const trace::CompiledSet* set = first != nullptr ? first->set() : nullptr;
+  FF_REQUIRE(set != nullptr && set->size() == programs.size(),
+             "simulator: programs must be one compiled set (sim::compile_programs)");
+  // Aliasing pointer: shares ownership of the set through program 0's form.
+  set_ = std::shared_ptr<const trace::CompiledSet>(programs.front().compiled, set);
+  programs_.reserve(programs.size());
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    const ProgramSpec& spec = programs[i];
+    // The compiled trace carries the records, closed-loop think times,
+    // per-record page spans and file ids, derived once for the set.
+    const trace::CompiledTrace* ct = &set->program(i);
+    FF_REQUIRE(spec.compiled.get() == ct && ct->compiled_from(spec.trace),
+               "simulator: program '" + spec.name +
+                   "' is not its compiled set's program " + std::to_string(i));
+    programs_.push_back(Program{.ct = ct,
+                                .records = ct->records(),
+                                .size = ct->size(),
+                                .profiled = spec.profiled,
+                                .disk_pinned = spec.disk_pinned});
   }
   // One pending syscall per program plus the flusher and sync timers; the
   // heap never outgrows this, so it never reallocates mid-run.
@@ -152,14 +172,14 @@ void Simulator::start() {
   result_ = SimResult{};
   result_.policy = policy_.name();
 
+  // Pre-place the programs' files so disk layout follows inode order,
+  // mirroring the paper's sequential file mapping, and size their indexes.
+  layout_.place(*set_);
+  vfs_.register_files(*set_);
   std::size_t expected_requests = 0;
   for (std::size_t i = 0; i < programs_.size(); ++i) {
     const Program& p = programs_[i];
-    if (p.spec.trace.empty()) continue;
-    // Pre-place the program's files so disk layout follows inode order,
-    // mirroring the paper's sequential file mapping, and size their indexes.
-    layout_.place_all(p.ct->file_extents());
-    vfs_.cache().register_files(p.ct->file_extents());
+    if (p.size == 0) continue;
     schedule(p.ct->start_time(), EventKind::kSyscall, i);
     ++active_programs_;
     expected_requests += p.ct->data_transfers();
@@ -255,16 +275,17 @@ SimResult Simulator::finish() {
 void Simulator::handle_syscall(const Event& ev) {
   Program& p = programs_[ev.program];
   FF_ASSERT(!p.done());
-  const trace::SyscallRecord& r = p.spec.trace[p.cursor];
+  const std::size_t i = p.cursor;
+  const trace::SyscallRecord& r = p.records[i];
+  const trace::FileId file = p.ct->file(i);
 
   policy_.on_syscall(r, ctx_);
 
   Seconds completion = ev.time;
   switch (r.op) {
     case trace::OpType::kRead: {
-      vfs_.plan_read(r, ev.time, layout_.extent_of(r.inode),
-                     p.ct->first_page(p.cursor), p.ct->end_page(p.cursor),
-                     read_plan_);
+      vfs_.plan_read(r, file, ev.time, layout_.extent_of(file),
+                     p.ct->first_page(i), p.ct->end_page(i), read_plan_);
       if (!read_plan_.evicted_dirty.empty()) {
         completion = std::max(
             completion, flush_dirty(ev.time, read_plan_.evicted_dirty, &p));
@@ -277,8 +298,8 @@ void Simulator::handle_syscall(const Event& ev) {
       break;
     }
     case trace::OpType::kWrite: {
-      vfs_.plan_write(r, ev.time, p.ct->first_page(p.cursor),
-                      p.ct->end_page(p.cursor), write_plan_);
+      vfs_.plan_write(r, file, ev.time, p.ct->first_page(i), p.ct->end_page(i),
+                      write_plan_);
       if (!write_plan_.evicted_dirty.empty()) {
         completion = std::max(
             completion, flush_dirty(ev.time, write_plan_.evicted_dirty, &p));
@@ -288,7 +309,7 @@ void Simulator::handle_syscall(const Event& ev) {
       break;
     }
     case trace::OpType::kClose:
-      vfs_.readahead().forget(r.inode);
+      vfs_.readahead().forget(file);
       break;
     case trace::OpType::kOpen:
     case trace::OpType::kSeek:
@@ -326,21 +347,18 @@ Seconds Simulator::service_ranges(Seconds t,
   std::optional<RequestContext> disk_rc;
 
   for (const auto& range : ranges) {
-    layout_.ensure(range.inode, range.offset() + range.size());
+    layout_.ensure(range.file, range.offset() + range.size());
     RequestContext rc;
     rc.request = device::DeviceRequest{
-        .lba = layout_.lba(range.inode, range.offset()),
+        .lba = layout_.lba(range.file, range.offset()),
         .size = range.size(),
         .is_write = is_writeback,
     };
     rc.syscall = origin;
     rc.pgid = origin != nullptr ? origin->pgid
-                                : (program.spec.trace.empty()
-                                       ? 0
-                                       : program.spec.trace[0].pgid);
-    rc.profiled = program.spec.profiled;
-    rc.disk_pinned =
-        program.spec.disk_pinned || pinned_inodes_.contains(range.inode);
+                                : (program.size == 0 ? 0 : program.records[0].pgid);
+    rc.profiled = program.profiled;
+    rc.disk_pinned = program.disk_pinned || set_->pinned(range.file);
     rc.is_writeback = is_writeback;
 
     const device::DeviceKind kind = choose_device(rc);
@@ -388,18 +406,14 @@ Seconds Simulator::flush_dirty(Seconds t, const std::vector<os::DirtyPage>& dirt
   // Oldest-dirty-first submission; the I/O scheduler (if enabled) reorders
   // for the head, exactly as pdflush + elevator divide the work.
   os::Vfs::coalesce_ordered_into(flush_pages_, flush_ranges_);
-  const auto& ranges = flush_ranges_;
+  // Every dirty page belongs to a file of the set.
+  for (os::PageRange& range : flush_ranges_) range.file = set_->find(range.inode).value();
   // Write-back issued by the kernel (periodic flusher) is not attributed to
   // any profiled program.
-  static const Program kSystem = [] {
-    Program p;
-    p.spec.name = "<writeback>";
-    p.spec.profiled = false;
-    return p;
-  }();
-  const Seconds completion =
-      service_ranges(t, ranges, nullptr, program != nullptr ? *program : kSystem,
-                     /*is_writeback=*/true);
+  static constexpr Program kSystem{.profiled = false};
+  const Seconds completion = service_ranges(
+      t, flush_ranges_, nullptr, program != nullptr ? *program : kSystem,
+      /*is_writeback=*/true);
   vfs_.complete_writeback(dirty);
   if (recorder_) {
     // Flushes triggered by eviction pressure block the evicting program
@@ -568,9 +582,9 @@ void Simulator::populate_metrics() {
 
 SimResult simulate(const SimConfig& config, const trace::Trace& trace,
                    Policy& policy) {
-  std::vector<ProgramSpec> programs;
-  programs.push_back(ProgramSpec{.trace = trace, .name = trace.name()});
-  Simulator sim(config, std::move(programs), policy);
+  Simulator sim(config,
+                compile_programs({ProgramSpec{.trace = trace, .name = trace.name()}}),
+                policy);
   return sim.run();
 }
 

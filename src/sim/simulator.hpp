@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -45,12 +44,16 @@ struct ProgramSpec {
   /// Data exists only on the local disk (forces all its requests there),
   /// like the xmms MP3 files of Section 3.3.4.
   bool disk_pinned = false;
-  /// Optional pre-compiled form of `trace` (derived data only — see
-  /// trace/compiled.hpp). Sharing one across simulations of the same trace
-  /// (e.g. a sweep grid) skips the per-Simulator compilation; when null the
-  /// Simulator compiles the trace itself.
+  /// The compiled form of `trace` within its program set (derived data
+  /// only — see trace/compiled.hpp), set by compile_programs. Every
+  /// simulation of the same programs shares it; the Simulator requires it.
   std::shared_ptr<const trace::CompiledTrace> compiled = nullptr;
 };
+
+/// Compiles `programs` as one set and returns them with `compiled` set:
+/// program i's compiled form is the set's program i, and it keeps the whole
+/// set alive. Copies of the returned specs share the records and the set.
+std::vector<ProgramSpec> compile_programs(std::vector<ProgramSpec> programs);
 
 struct SimConfig {
   device::DiskParams disk = device::DiskParams::hitachi_dk23da_distance();
@@ -95,7 +98,11 @@ class Simulator {
  public:
   /// The policy is owned by the caller and must outlive run(); this allows
   /// callers to inspect policy state (e.g. recorded profiles) afterwards.
-  Simulator(SimConfig config, std::vector<ProgramSpec> programs, Policy& policy);
+  /// `programs` must be one compiled set, in order (compile_programs);
+  /// otherwise this throws ConfigError. The Simulator keeps the set alive
+  /// and does not copy the specs.
+  Simulator(SimConfig config, const std::vector<ProgramSpec>& programs,
+            Policy& policy);
 
   /// Runs the whole simulation and returns the aggregate result.
   /// Equivalent to start(); while (step()) {}; finish().
@@ -137,13 +144,14 @@ class Simulator {
 
  private:
   struct Program {
-    ProgramSpec spec;
-    /// spec.compiled.get() or owned.get() — never null after construction.
     const trace::CompiledTrace* ct = nullptr;
-    /// Holds the compilation when the spec did not ship one.
-    std::shared_ptr<const trace::CompiledTrace> owned;
+    /// ct's records, taken once: one indirection per syscall.
+    const trace::SyscallRecord* records = nullptr;
+    std::size_t size = 0;
     std::size_t cursor = 0;
-    bool done() const { return cursor >= spec.trace.size(); }
+    bool profiled = true;
+    bool disk_pinned = false;
+    bool done() const { return cursor >= size; }
   };
 
   enum class EventKind : std::uint8_t { kSyscall, kFlusher, kSync };
@@ -166,8 +174,8 @@ class Simulator {
   void run_flusher(Seconds t);
   void run_sync(Seconds t);
 
-  /// Services page ranges on policy-chosen devices; returns the completion
-  /// time of the last range.
+  /// Services page ranges (each carrying its file id) on policy-chosen
+  /// devices; returns the completion time of the last range.
   Seconds service_ranges(Seconds t, const std::vector<os::PageRange>& ranges,
                          const trace::SyscallRecord* origin,
                          const Program& program, bool is_writeback);
@@ -184,6 +192,9 @@ class Simulator {
   void populate_metrics();
 
   SimConfig config_;
+  /// The programs' compiled set (dense file ids, pinned flags, placement
+  /// order, page spans); keeps every program's records alive.
+  std::shared_ptr<const trace::CompiledSet> set_;
   std::vector<Program> programs_;
   Policy& policy_;
 
@@ -202,7 +213,6 @@ class Simulator {
   energy::BatteryTracker battery_;
   SimContext ctx_;
 
-  std::set<trace::Inode> pinned_inodes_;
   /// Pre-reserved flat binary heap ordered by Event::operator> (min-heap on
   /// (time, seq)); holds at most one event per program plus the flusher and
   /// sync timers.

@@ -10,7 +10,10 @@
 // threads at once, so bundles must not be mutated for the duration of the
 // call (they are only read through const references; ScenarioBundle has no
 // mutable members or lazily-populated caches, and every RNG in the stack is
-// an explicitly seeded, per-simulator instance — see DESIGN.md).
+// an explicitly seeded, per-simulator instance — see DESIGN.md). A bundle's
+// programs share one immutable compiled program set and their trace
+// records by shared_ptr<const ...>; each cell's Simulator holds a reference
+// to the set, so workers change reference counts and nothing else.
 //
 // Determinism guarantee: results are returned in grid (submission) order
 // and each cell's SimResult is bit-identical whether the grid runs on one

@@ -1,22 +1,22 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace flexfetch::telemetry {
 
 std::size_t Histogram::bucket_of(double v) {
   if (!(v > 0.0)) return 0;  // Zeros, negatives, and NaN underflow.
-  // frexp leaves the exponent of an infinity unspecified.
-  if (std::isinf(v)) return kBuckets - 1;
-  int exp = 0;
-  // frexp: v = m * 2^exp with m in [0.5, 1) — so v < 2^exp <= 2v, and
-  // bucket b = exp - kMinExp covers [2^(b+kMinExp-1), 2^(b+kMinExp)).
-  (void)std::frexp(v, &exp);
-  const int b = exp - kMinExp;
-  if (b < 0) return 0;
-  if (b >= static_cast<int>(kBuckets)) return kBuckets - 1;
-  return static_cast<std::size_t>(b);
+  // A normal v is 1.f * 2^(e - 1023) for its biased exponent field e, so
+  // v < 2^(e - 1022) <= 2v, and bucket b = e - 1022 - kMinExp covers
+  // [2^(b+kMinExp-1), 2^(b+kMinExp)) — what frexp's exponent gives, without
+  // the libm call. Subnormals (e = 0) clamp to bucket 0, +inf (e = 2047) to
+  // the top one.
+  const auto e = static_cast<int>((std::bit_cast<std::uint64_t>(v) >> 52) & 0x7ff);
+  return static_cast<std::size_t>(
+      std::clamp(e - 1022 - kMinExp, 0, static_cast<int>(kBuckets) - 1));
 }
 
 double Histogram::bucket_upper_edge(std::size_t b) {

@@ -6,6 +6,7 @@
 // exactly the fields the paper's collector records.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -17,6 +18,13 @@ using Pid = std::uint32_t;
 using ProcessGroup = std::uint32_t;
 using Inode = std::uint64_t;
 using Fd = std::int32_t;
+
+/// Dense file id: a file's position among the inodes of a compiled program
+/// set, numbered 0..F-1 in ascending inode order (see trace/compiled.hpp).
+/// Per-run structures index flat arrays by it instead of hashing inodes.
+enum class FileId : std::uint32_t {};
+
+constexpr std::size_t index_of(FileId f) { return static_cast<std::size_t>(f); }
 
 enum class OpType : std::uint8_t {
   kOpen,

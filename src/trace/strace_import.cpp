@@ -1,7 +1,8 @@
 #include "trace/strace_import.hpp"
 
+#include <algorithm>
 #include <charconv>
-#include <cstdlib>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -30,13 +31,20 @@ bool skip_ws(std::string_view& s) {
   return !s.empty();
 }
 
-std::optional<double> parse_double(std::string_view& s) {
+/// The number at the front of `s` (after blanks), read as a whole token
+/// that ends at a blank, at `stop` or at the end of `s`: a finite decimal,
+/// or nullopt. (strtod would also take hex, inf and nan; from_chars alone
+/// would read the "0" of "0x64" and leave the rest for the next field.)
+std::optional<double> parse_number(std::string_view& s, char stop = ' ') {
   skip_ws(s);
-  const char* begin = s.data();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin) return std::nullopt;
-  s.remove_prefix(static_cast<std::size_t>(end - begin));
+  std::size_t n = 0;
+  while (n < s.size() && s[n] != ' ' && s[n] != '\t' && s[n] != stop) ++n;
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + n, v);
+  if (n == 0 || ec != std::errc{} || ptr != s.data() + n || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  s.remove_prefix(n);
   return v;
 }
 
@@ -50,9 +58,11 @@ std::optional<long long> parse_int(std::string_view& s) {
 }
 
 /// Parses one strace line; nullopt if it is not a syscall line (signal
-/// notes, "resumed" fragments, exit messages...).
-std::optional<Line> parse_line(std::string_view s) {
+/// notes, "resumed" fragments, exit messages...). A line with a malformed or
+/// non-finite timestamp or duration is nullopt too, with `bad_number` set.
+std::optional<Line> parse_line(std::string_view s, const char*& bad_number) {
   Line out;
+  bad_number = nullptr;
   if (!skip_ws(s)) return std::nullopt;
 
   // Optional pid column (strace -f).
@@ -64,7 +74,7 @@ std::optional<Line> parse_line(std::string_view s) {
       // contains '.', so "1234  118000.5 read(...)" disambiguates by the
       // dot check below.
       std::string_view probe2 = probe;
-      const auto maybe_ts = parse_double(probe2);
+      const auto maybe_ts = parse_number(probe2);
       if (maybe_ts && *pid >= 0 && s.find('.') != std::string_view::npos) {
         out.pid = static_cast<Pid>(*pid);
         s = probe;
@@ -72,8 +82,11 @@ std::optional<Line> parse_line(std::string_view s) {
     }
   }
 
-  const auto ts = parse_double(s);
-  if (!ts) return std::nullopt;
+  const auto ts = parse_number(s);
+  if (!ts) {
+    bad_number = "malformed or non-finite timestamp";
+    return std::nullopt;
+  }
   out.timestamp = Seconds{*ts};
 
   if (!skip_ws(s)) return std::nullopt;
@@ -100,7 +113,12 @@ std::optional<Line> parse_line(std::string_view s) {
   const auto open_angle = s.find('<');
   if (open_angle != std::string_view::npos) {
     std::string_view d = s.substr(open_angle + 1);
-    if (const auto dur = parse_double(d)) out.duration = Seconds{*dur};
+    const auto dur = parse_number(d, '>');
+    if (!dur || *dur < 0.0 || !d.starts_with('>')) {
+      bad_number = "malformed, negative or non-finite duration";
+      return std::nullopt;
+    }
+    out.duration = Seconds{*dur};
   }
   return out;
 }
@@ -164,10 +182,11 @@ Trace import_strace(std::istream& is, const std::string& name,
 
   while (std::getline(is, raw)) {
     ++lineno;
-    const auto parsed = parse_line(raw);
+    const char* bad_number = nullptr;
+    const auto parsed = parse_line(raw, bad_number);
     if (!parsed) {
       if (!raw.empty() && raw.find('(') != std::string::npos) {
-        fail("unparseable syscall line");
+        fail(bad_number != nullptr ? bad_number : "unparseable syscall line");
       }
       continue;
     }

@@ -1,6 +1,8 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "common/format.hpp"
@@ -27,23 +29,58 @@ std::string to_string(const SyscallRecord& r) {
                    r.duration.value());
 }
 
+namespace {
+
+bool finite_times(const SyscallRecord& r) {
+  return std::isfinite(r.timestamp.value()) && std::isfinite(r.duration.value());
+}
+
+}  // namespace
+
+const std::vector<SyscallRecord>& Trace::records() const {
+  static const std::vector<SyscallRecord> kNone;
+  return records_ ? *records_ : kNone;
+}
+
+std::vector<SyscallRecord>& Trace::own() {
+  if (records_ == nullptr) {
+    records_ = std::make_shared<std::vector<SyscallRecord>>();
+  } else if (records_.use_count() > 1) {
+    records_ = std::make_shared<std::vector<SyscallRecord>>(*records_);
+  } else {
+    // Sole owner. Orders these writes after the reads of a copy another
+    // thread has just dropped (the drop is a release decrement). TSan
+    // models no fences, and GCC warns about them under it.
+#ifndef __SANITIZE_THREAD__
+    std::atomic_thread_fence(std::memory_order_acquire);
+#endif
+  }
+  return *records_;
+}
+
 void Trace::push_back(const SyscallRecord& r) {
   if (r.is_data_transfer() && r.size == Bytes{}) {
     throw TraceError("data-transfer record with zero size: " + to_string(r));
   }
+  if (!finite_times(r)) {
+    throw TraceError("record with a non-finite time: " + to_string(r));
+  }
   if (r.timestamp < Seconds{}) {
     throw TraceError("record with negative timestamp: " + to_string(r));
   }
-  if (!records_.empty() && r.timestamp < records_.back().timestamp) {
-    records_.push_back(r);
-    sort_records();
-  } else {
-    records_.push_back(r);
-  }
+  std::vector<SyscallRecord>& records = own();
+  const bool in_order = records.empty() || r.timestamp >= records.back().timestamp;
+  records.push_back(r);
+  if (!in_order) sort_records();
 }
 
 void Trace::merge(const Trace& other) {
-  records_.insert(records_.end(), other.records_.begin(), other.records_.end());
+  if (other.empty()) return;
+  // Read `other` through its own handle: own() may replace records_ even
+  // when other is *this.
+  const auto source = other.records_;
+  std::vector<SyscallRecord>& records = own();
+  records.insert(records.end(), source->begin(), source->end());
   sort_records();
 }
 
@@ -56,19 +93,20 @@ void Trace::append_after(const Trace& other, Seconds gap) {
 }
 
 void Trace::shift(Seconds delta) {
-  if (!records_.empty() && records_.front().timestamp + delta < Seconds{}) {
+  if (empty()) return;
+  if (records_->front().timestamp + delta < Seconds{}) {
     throw TraceError("shift would produce negative timestamps");
   }
-  for (auto& r : records_) r.timestamp += delta;
+  for (auto& r : own()) r.timestamp += delta;
 }
 
 Seconds Trace::start_time() const {
-  return records_.empty() ? Seconds{} : records_.front().timestamp;
+  return empty() ? Seconds{} : records_->front().timestamp;
 }
 
 Seconds Trace::end_time() const {
   Seconds end = Seconds{0.0};
-  for (const auto& r : records_) {
+  for (const auto& r : records()) {
     end = std::max(end, r.timestamp + r.duration);
   }
   return end;
@@ -76,11 +114,11 @@ Seconds Trace::end_time() const {
 
 TraceStats Trace::stats() const {
   TraceStats s;
-  s.records = records_.size();
+  s.records = size();
   std::map<Inode, Bytes> extents = file_extents();
   s.distinct_files = extents.size();
   for (const auto& [ino, extent] : extents) s.footprint += extent;
-  for (const auto& r : records_) {
+  for (const auto& r : records()) {
     if (r.op == OpType::kRead) {
       ++s.reads;
       s.bytes_read += r.size;
@@ -95,7 +133,7 @@ TraceStats Trace::stats() const {
 
 std::set<Inode> Trace::file_set() const {
   std::set<Inode> files;
-  for (const auto& r : records_) {
+  for (const auto& r : records()) {
     if (r.is_data_transfer()) files.insert(r.inode);
   }
   return files;
@@ -103,7 +141,7 @@ std::set<Inode> Trace::file_set() const {
 
 std::map<Inode, Bytes> Trace::file_extents() const {
   std::map<Inode, Bytes> extents;
-  for (const auto& r : records_) {
+  for (const auto& r : records()) {
     if (!r.is_data_transfer()) continue;
     Bytes& e = extents[r.inode];
     e = std::max(e, r.end_offset());
@@ -113,7 +151,11 @@ std::map<Inode, Bytes> Trace::file_extents() const {
 
 void Trace::validate() const {
   Seconds prev = Seconds{0.0};
-  for (const auto& r : records_) {
+  for (const auto& r : records()) {
+    // NaN compares false against everything, so order checks alone pass it.
+    if (!finite_times(r)) {
+      throw TraceError("non-finite time: " + to_string(r));
+    }
     if (r.timestamp < prev) {
       throw TraceError("records out of order at t=" +
                        std::to_string(r.timestamp.value()));
@@ -129,7 +171,7 @@ void Trace::validate() const {
 }
 
 void Trace::sort_records() {
-  std::stable_sort(records_.begin(), records_.end(),
+  std::stable_sort(records_->begin(), records_->end(),
                    [](const SyscallRecord& a, const SyscallRecord& b) {
                      return a.timestamp < b.timestamp;
                    });

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,7 +29,14 @@ struct TraceStats {
 ///
 /// Invariants maintained by the class:
 ///  * records are sorted by timestamp (stable for ties),
-///  * every data-transfer record has size > 0.
+///  * every data-transfer record has size > 0,
+///  * every timestamp and duration is finite.
+///
+/// The records live in shared immutable storage: copying a Trace shares
+/// them, and a mutator first takes a private copy while the storage is
+/// shared, so no copy ever sees another copy's change. Only the thread that
+/// owns a Trace mutates it; other threads may copy and read their own
+/// copies concurrently (only reference counts change).
 class Trace {
  public:
   Trace() = default;
@@ -37,7 +45,8 @@ class Trace {
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  /// Appends a record; throws TraceError if a data transfer has zero size.
+  /// Appends a record; throws TraceError if a data transfer has zero size or
+  /// the timestamp is negative or either time is not finite.
   void push_back(const SyscallRecord& r);
 
   /// Appends all records of `other`, then restores timestamp order.
@@ -51,14 +60,20 @@ class Trace {
   /// Shifts all timestamps by delta (may not produce negative times).
   void shift(Seconds delta);
 
-  bool empty() const { return records_.empty(); }
-  std::size_t size() const { return records_.size(); }
-  const SyscallRecord& operator[](std::size_t i) const { return records_[i]; }
-  const SyscallRecord& at(std::size_t i) const { return records_.at(i); }
+  bool empty() const { return size() == 0; }
+  std::size_t size() const { return records_ ? records_->size() : 0; }
+  const SyscallRecord& operator[](std::size_t i) const { return (*records_)[i]; }
+  const SyscallRecord& at(std::size_t i) const { return records().at(i); }
 
-  auto begin() const { return records_.begin(); }
-  auto end() const { return records_.end(); }
-  const std::vector<SyscallRecord>& records() const { return records_; }
+  auto begin() const { return records().begin(); }
+  auto end() const { return records().end(); }
+  const std::vector<SyscallRecord>& records() const;
+
+  /// The shared record storage (null while empty): a compiled form keeps it
+  /// alive and reads it without going through the Trace.
+  std::shared_ptr<const std::vector<SyscallRecord>> shared_records() const {
+    return records_;
+  }
 
   Seconds start_time() const;
   Seconds end_time() const;  ///< Last record's timestamp + duration.
@@ -75,10 +90,12 @@ class Trace {
   void validate() const;
 
  private:
+  /// The records for writing: a private copy first if they are shared.
+  std::vector<SyscallRecord>& own();
   void sort_records();
 
   std::string name_;
-  std::vector<SyscallRecord> records_;
+  std::shared_ptr<std::vector<SyscallRecord>> records_;
 };
 
 }  // namespace flexfetch::trace

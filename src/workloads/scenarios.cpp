@@ -30,12 +30,11 @@ Trace merge_all(std::initializer_list<const Trace*> traces, std::string name) {
   return merged;
 }
 
-/// Pre-compiles every program's trace so each sweep cell's Simulator reuses
-/// the shared derived arrays instead of recompiling per run.
+/// Compiles the bundle's programs as one set, so every simulation of the
+/// bundle (grid cells, fleet users, crowd clients) shares its file ids,
+/// layout order, page spans and records instead of re-deriving them.
 ScenarioBundle compiled(ScenarioBundle b) {
-  for (auto& p : b.programs) {
-    p.compiled = std::make_shared<const trace::CompiledTrace>(p.trace);
-  }
+  b.programs = sim::compile_programs(std::move(b.programs));
   return b;
 }
 

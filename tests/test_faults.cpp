@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/flexfetch.hpp"
@@ -292,6 +293,64 @@ TEST(FaultAudit, TelemetryOnAndOffAgreeUnderFaults) {
   EXPECT_EQ(off.wnic_meter.total(), on.wnic_meter.total());
   EXPECT_EQ(off.disk_requests, on.disk_requests);
   EXPECT_EQ(off.net_requests, on.net_requests);
+}
+
+TEST(FaultAudit, PowerSpanReconciliationRunsWithTheRingAndTheAudit) {
+  // on_run_end reconciles the power timelines against the meters only when
+  // the ring kept every event and holds power spans; check both hold, so
+  // the reconciliation really ran and passed.
+  for (const auto& scenario :
+       {workloads::scenario_grep_make(1), workloads::scenario_mplayer(1)}) {
+    sim::SimConfig config;
+    config.audit.enabled = true;
+    config.telemetry.enabled = true;
+    config.telemetry.ring_capacity = std::size_t{1} << 18;
+    auto policy = policies::make_policy("flexfetch", scenario.profiles,
+                                        &scenario.oracle_future);
+    sim::Simulator simulator(config, scenario.programs, *policy);
+    sim::SimResult r;
+    ASSERT_NO_THROW(r = simulator.run()) << scenario.name;
+    EXPECT_EQ(r.trace_events_dropped, 0u) << scenario.name;
+    std::size_t disk_spans = 0;
+    std::size_t wnic_spans = 0;
+    for (const auto& ev : r.trace_events) {
+      if (ev.phase != telemetry::Phase::kSpan) continue;
+      disk_spans += ev.track == telemetry::track::kDiskPower ? 1 : 0;
+      wnic_spans += ev.track == telemetry::track::kWnicPower ? 1 : 0;
+    }
+    EXPECT_GT(disk_spans, 0u) << scenario.name;
+    EXPECT_GT(wnic_spans, 0u) << scenario.name;
+  }
+}
+
+TEST(FaultAudit, RunEndRejectsAGapInAPowerTimeline) {
+  // The disk idles for 3 s (well inside its spin-down timeout); the WNIC
+  // stays at t = 0 with no timeline.
+  device::Disk disk;
+  device::Wnic wnic;
+  disk.advance_to(Seconds{3.0});
+  const auto idle = [](double start, double end) {
+    return telemetry::TraceEvent{.name = device::to_string(device::DiskState::kIdle),
+                                 .category = telemetry::Category::kDisk,
+                                 .phase = telemetry::Phase::kSpan,
+                                 .n_args = 0,
+                                 .track = telemetry::track::kDiskPower,
+                                 .seq = 0,
+                                 .start = Seconds{start},
+                                 .duration = Seconds{end - start},
+                                 .value = 0.0,
+                                 .args = {}};
+  };
+  const std::vector<telemetry::TraceEvent> tiled = {idle(0.0, 1.0), idle(1.0, 3.0)};
+  faults::SimAudit ok;
+  EXPECT_NO_THROW(ok.on_run_end(disk, wnic, tiled, 0));
+  EXPECT_GT(ok.checks(), 0u);
+
+  const std::vector<telemetry::TraceEvent> gap = {idle(0.0, 1.0), idle(2.0, 3.0)};
+  faults::SimAudit audit;
+  EXPECT_THROW(audit.on_run_end(disk, wnic, gap, 0), InternalError);
+  // A lossy ring leaves nothing sound to reconcile.
+  EXPECT_NO_THROW(audit.on_run_end(disk, wnic, gap, 1));
 }
 
 // ---------------------------------------------------------------------------

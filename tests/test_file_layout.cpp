@@ -78,11 +78,51 @@ TEST(FileLayout, DifferentSeedsProduceDifferentGaps) {
 }
 
 TEST(FileLayout, PlaceAllOrdersByInode) {
+  // A compiled trace lists its files in ascending inode order.
+  trace::Trace t("t");
+  for (const trace::Inode ino : {5u, 1u, 3u}) {
+    t.push_back(trace::SyscallRecord{.inode = ino, .size = Bytes{4096}});
+  }
+  const trace::CompiledTrace ct(t);
   FileLayout layout(1 * kGiB, 3);
-  std::map<trace::Inode, Bytes> extents{{5, Bytes{4096}}, {1, Bytes{4096}}, {3, Bytes{4096}}};
-  layout.place_all(extents);
+  layout.place_all(ct.file_extents());
   EXPECT_LT(layout.lba(1, Bytes{0}), layout.lba(3, Bytes{0}));
   EXPECT_LT(layout.lba(3, Bytes{0}), layout.lba(5, Bytes{0}));
+}
+
+TEST(FileLayout, PlacingASetMatchesPlacingEachProgramByInode) {
+  // Two programs sharing file 4: the set replays the per-program order, so
+  // every gap draw and every address equals the inode-keyed placement.
+  trace::Trace a("a");
+  trace::Trace b("b");
+  for (const trace::Inode ino : {9u, 4u, 2u}) {
+    a.push_back(trace::SyscallRecord{.inode = ino, .size = Bytes{5000}});
+  }
+  for (const trace::Inode ino : {4u, 7u}) {
+    b.push_back(trace::SyscallRecord{.inode = ino, .size = 3 * kPageSize});
+  }
+  const trace::CompiledSet::Member members[] = {{.trace = &a}, {.trace = &b}};
+  const auto set = trace::CompiledSet::compile(members);
+
+  FileLayout by_set(1 * kGiB, 11);
+  by_set.place(*set);
+  FileLayout by_inode(1 * kGiB, 11);
+  by_inode.place_all(trace::CompiledTrace(a).file_extents());
+  by_inode.place_all(trace::CompiledTrace(b).file_extents());
+  for (const trace::Inode ino : {2u, 4u, 7u, 9u}) {
+    EXPECT_EQ(by_set.lba(ino, Bytes{0}), by_inode.lba(ino, Bytes{0})) << ino;
+    EXPECT_EQ(by_set.extent_of(ino), by_inode.extent_of(ino)) << ino;
+  }
+  EXPECT_EQ(by_set.extent_of(*set->find(4)), 3 * kPageSize);
+  EXPECT_EQ(by_set.file_count(), 4u);
+
+  // An inode outside the set gets the next id and draws its gap on first
+  // touch, exactly when the inode-keyed layout draws it.
+  by_set.ensure(100, Bytes{10});
+  by_inode.ensure(100, Bytes{10});
+  EXPECT_EQ(by_set.lba(100, Bytes{0}), by_inode.lba(100, Bytes{0}));
+  EXPECT_EQ(by_set.bytes_allocated(), by_inode.bytes_allocated());
+  EXPECT_THROW(by_set.place(*set), ConfigError);  // Only on a fresh layout.
 }
 
 TEST(FileLayout, CapacityExhaustionThrows) {

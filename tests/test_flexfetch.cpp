@@ -155,7 +155,8 @@ TEST(FlexFetch, FreeRiderRedirectsWhenPinnedProgramHoldsDisk) {
                                       .profiled = false,
                                       .disk_pinned = true});
   FlexFetchPolicy policy(FlexFetchConfig{}, profile_of(paced));
-  sim::Simulator sim(sim::SimConfig{}, std::move(programs), policy);
+  sim::Simulator sim(sim::SimConfig{}, sim::compile_programs(std::move(programs)),
+                     policy);
   sim.run();
   EXPECT_GT(policy.stats().free_rider_redirects, 0u);
 }

@@ -4,7 +4,9 @@
 // BufferCache::lookup/fill/write/clear and CScanScheduler::submit/dispatch
 // perform no heap allocation. Pages of files never registered grow their
 // page index on first touch; a repeated pass over them allocates nothing.
-// Writing and merging a MetricsRegistry allocates nothing either.
+// Readahead over registered files and writing and merging a MetricsRegistry
+// allocate nothing either, and a Simulator's setup allocates the same
+// number of times whatever its file count.
 // Global operator new/delete are replaced with counting versions (this test
 // lives in its own binary for that reason).
 #include <cstdint>
@@ -17,7 +19,11 @@
 
 #include "os/buffer_cache.hpp"
 #include "os/io_scheduler.hpp"
+#include "os/readahead.hpp"
+#include "policies/fixed.hpp"
+#include "sim/simulator.hpp"
 #include "telemetry/metrics.hpp"
+#include "workloads/scenarios.hpp"
 
 namespace {
 
@@ -201,6 +207,59 @@ TEST(HotpathAllocation, MetricsWriteAndMergeAreAllocationFree) {
   EXPECT_EQ(merged.size(), telemetry::kMetricCount);
   EXPECT_EQ(merged.histograms().size(), telemetry::kHistCount);
   EXPECT_DOUBLE_EQ(merged.value("sim.syscalls"), 2.0);
+}
+
+TEST(HotpathAllocation, ReadaheadOverRegisteredFilesIsAllocationFree) {
+  Readahead ra;
+  ra.reserve_files(64);
+  const std::uint64_t before = allocation_count();
+  for (std::uint64_t i = 0; i < 10000; ++i) {
+    const trace::FileId f{static_cast<std::uint32_t>(i % 64)};
+    ra.on_read(f, (i % 7) * kPageSize, kPageSize);
+    ra.on_read(f, (i % 7 + 1) * kPageSize, kPageSize);
+    ra.forget(f);
+  }
+  const std::uint64_t after = allocation_count();
+  EXPECT_EQ(after - before, 0u)
+      << "10^4 read/forget cycles allocated " << (after - before) << " times";
+}
+
+/// Allocations of constructing and starting a disk-only Simulator on the
+/// bundle, and of its step loop.
+struct SetupAndLoop {
+  std::uint64_t setup = 0;
+  std::uint64_t loop = 0;
+};
+
+SetupAndLoop count_simulator(const workloads::ScenarioBundle& bundle) {
+  policies::DiskOnlyPolicy policy;
+  SetupAndLoop n;
+  std::uint64_t before = allocation_count();
+  sim::Simulator sim(sim::SimConfig{}, bundle.programs, policy);
+  sim.start();
+  n.setup = allocation_count() - before;
+  before = allocation_count();
+  while (sim.step()) {
+  }
+  n.loop = allocation_count() - before;
+  sim.finish();
+  return n;
+}
+
+TEST(HotpathAllocation, SimulatorSetupDoesNotAllocatePerFile) {
+  // The compiled set fixes the file table, page index and layout sizes, so
+  // setup allocates flat arrays, not one node per file.
+  const auto grep_make = workloads::scenario_grep_make(1);
+  const auto acroread = workloads::scenario_stale_acroread(
+      1, workloads::ScenarioTuning{.workload_scale = 0.15});
+  ASSERT_EQ(grep_make.programs[0].compiled->set()->file_count(), 2157u);
+  ASSERT_EQ(acroread.programs[0].compiled->set()->file_count(), 2u);
+  const SetupAndLoop many = count_simulator(grep_make);
+  const SetupAndLoop few = count_simulator(acroread);
+  EXPECT_EQ(many.setup, few.setup);
+  // What the loop still allocates is scratch vectors reaching their
+  // high-water mark.
+  EXPECT_LT(many.loop, 100u);
 }
 
 TEST(HotpathAllocation, ConstructionAllocatesOnlyFixedStructures) {

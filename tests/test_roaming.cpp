@@ -80,13 +80,13 @@ TEST(Roaming, FlexFetchAbandonsADegradedLink) {
 
   core::FlexFetchPolicy ff(core::FlexFetchConfig{},
                            core::Profile::from_trace(t, Seconds{0.020}));
-  sim::Simulator sf(config, {sim::ProgramSpec{.trace = t, .name = "paced"}},
-                    ff);
+  const auto programs =
+      sim::compile_programs({sim::ProgramSpec{.trace = t, .name = "paced"}});
+  sim::Simulator sf(config, programs, ff);
   const auto ff_result = sf.run();
 
   policies::WnicOnlyPolicy wnic_only;
-  sim::Simulator sw(config, {sim::ProgramSpec{.trace = t, .name = "paced"}},
-                    wnic_only);
+  sim::Simulator sw(config, programs, wnic_only);
   const auto wnic_result = sw.run();
 
   // Some disk traffic appears after the collapse...

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/error.hpp"
 #include "policies/fixed.hpp"
 #include "trace/builder.hpp"
@@ -112,7 +114,7 @@ TEST(Simulator, DiskPinnedProgramIgnoresPolicy) {
                                  .profiled = false,
                                  .disk_pinned = true});
   policies::WnicOnlyPolicy policy;  // Would choose the network...
-  Simulator sim(fast_config(), std::move(programs), policy);
+  Simulator sim(fast_config(), compile_programs(std::move(programs)), policy);
   const SimResult r = sim.run();
   EXPECT_GT(r.disk_requests, 0u);  // ...but pinned data stays on disk.
   EXPECT_EQ(r.net_requests, 0u);
@@ -129,7 +131,7 @@ TEST(Simulator, ConcurrentProgramsShareTheDevices) {
   programs.push_back(ProgramSpec{.trace = a.build(), .name = "a"});
   programs.push_back(ProgramSpec{.trace = b.build(), .name = "b"});
   policies::DiskOnlyPolicy policy;
-  Simulator sim(fast_config(), std::move(programs), policy);
+  Simulator sim(fast_config(), compile_programs(std::move(programs)), policy);
   const SimResult r = sim.run();
   EXPECT_EQ(r.syscalls, 2u);
   EXPECT_GE(r.disk_requests, 2u);
@@ -158,6 +160,64 @@ TEST(Simulator, IoTimeExcludesThinkTime) {
 TEST(Simulator, EmptyProgramListRejected) {
   policies::DiskOnlyPolicy policy;
   EXPECT_THROW(Simulator(SimConfig{}, {}, policy), ConfigError);
+}
+
+TEST(Simulator, ProgramsMustBeOneCompiledSet) {
+  policies::DiskOnlyPolicy policy;
+  // No compiled form.
+  EXPECT_THROW(Simulator(SimConfig{}, {ProgramSpec{.trace = tiny_trace(), .name = "a"}},
+                         policy),
+               ConfigError);
+  // A standalone compile has no set.
+  ProgramSpec standalone{.trace = tiny_trace(), .name = "a"};
+  standalone.compiled = std::make_shared<const trace::CompiledTrace>(standalone.trace);
+  EXPECT_THROW(Simulator(SimConfig{}, {standalone}, policy), ConfigError);
+  // Programs from two sets, or a subset of one set.
+  const auto a = compile_programs({ProgramSpec{.trace = tiny_trace(), .name = "a"}});
+  const auto b = compile_programs({ProgramSpec{.trace = tiny_trace(), .name = "b"}});
+  EXPECT_THROW(Simulator(SimConfig{}, {a[0], b[0]}, policy), ConfigError);
+  const auto pair = compile_programs({ProgramSpec{.trace = tiny_trace(), .name = "a"},
+                                      ProgramSpec{.trace = tiny_trace(), .name = "b"}});
+  EXPECT_THROW(Simulator(SimConfig{}, {pair[0]}, policy), ConfigError);
+  EXPECT_THROW(Simulator(SimConfig{}, {pair[1], pair[0]}, policy), ConfigError);
+  // A trace changed after compiling no longer matches its compiled form.
+  auto changed = a;
+  changed[0].trace.shift(Seconds{1.0});
+  EXPECT_THROW(Simulator(SimConfig{}, changed, policy), ConfigError);
+  EXPECT_NO_THROW(Simulator(SimConfig{}, a, policy));
+}
+
+TEST(Simulator, CompiledSetNumbersFilesInInodeOrder) {
+  trace::TraceBuilder x("x");
+  x.process(10, 10);
+  x.read(30, Bytes{0}, Bytes{100});
+  x.read(10, Bytes{0}, Bytes{5000});
+  trace::TraceBuilder y("y");
+  y.process(20, 20);
+  y.write(20, Bytes{0}, Bytes{10});
+  y.read(10, Bytes{0}, Bytes{9000});
+  const auto programs = compile_programs(
+      {ProgramSpec{.trace = x.build(), .name = "x"},
+       ProgramSpec{.trace = y.build(), .name = "y", .profiled = true, .disk_pinned = true}});
+  const trace::CompiledSet& set = *programs[0].compiled->set();
+  ASSERT_EQ(set.file_count(), 3u);
+  EXPECT_EQ(set.page_spans()[0].inode, 10u);
+  EXPECT_EQ(set.page_spans()[2].inode, 30u);
+  EXPECT_EQ(set.find(20), trace::FileId{1});
+  EXPECT_FALSE(set.find(15).has_value());
+  EXPECT_TRUE(set.pinned(trace::FileId{0}));   // y (pinned) reads it.
+  EXPECT_FALSE(set.pinned(trace::FileId{2}));  // Only x reads it.
+  EXPECT_EQ(set.page_spans()[0].pages, 3u);    // 9000 bytes: y's extent.
+  EXPECT_EQ(set.page_spans()[1].base, 3u);
+  EXPECT_EQ(set.total_pages(), 3u + 1u + 1u);
+  // Each record carries its file's id; copies share the set and records.
+  const trace::CompiledTrace& cx = *programs[0].compiled;
+  EXPECT_EQ(cx.file(0), trace::FileId{2});
+  EXPECT_EQ(cx.file(1), trace::FileId{0});
+  EXPECT_EQ(cx.file_extents()[0].size, Bytes{5000});  // x's own extent.
+  const auto copy = programs;
+  EXPECT_EQ(copy[1].compiled->set(), &set);
+  EXPECT_EQ(&copy[1].trace.records(), &programs[1].trace.records());
 }
 
 TEST(Simulator, RequestLogDisabledByDefault) {

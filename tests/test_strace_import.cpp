@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -142,6 +143,57 @@ TEST(StraceImport, PgidOptionIsApplied) {
   o.pgid = 777;
   const Trace t = import("0.0 open(\"/a\", O_RDONLY) = 3\n", o);
   EXPECT_EQ(t[0].pgid, 777u);
+}
+
+// Numbers the importer once took through strtod, and a negative duration.
+// No row imports a bad number: strict mode names the line, lenient mode
+// drops it.
+struct BadNumberRow {
+  const char* what;
+  const char* log;
+  std::size_t bad_line;
+};
+
+TEST(StraceImport, RejectsNonFiniteAndNonDecimalNumbers) {
+  const BadNumberRow rows[] = {
+      {"nan timestamps",
+       "nan open(\"/a\", O_RDONLY) = 3\n"
+       "nan read(3, \"\", 100) = 100\n",
+       1},
+      {"inf duration",
+       "0.0 open(\"/a\", O_RDONLY) = 3 <inf>\n", 1},
+      {"nan duration",
+       "0.0 open(\"/a\", O_RDONLY) = 3\n"
+       "0.1 read(3, \"\", 100) = 100 <nan>\n",
+       2},
+      {"hex timestamp",
+       "0x64 open(\"/a\", O_RDONLY) = 3\n", 1},
+      {"hex duration",
+       "0.0 open(\"/a\", O_RDONLY) = 3 <0x1p-9>\n", 1},
+      {"inf later timestamp",
+       "0.0 open(\"/a\", O_RDONLY) = 3\n"
+       "inf read(3, \"\", 100) = 100\n",
+       2},
+      {"negative duration",
+       "0.0 open(\"/a\", O_RDONLY) = 3 <-0.5>\n", 1},
+  };
+  for (const BadNumberRow& row : rows) {
+    StraceImportOptions strict;
+    strict.lenient = false;
+    std::istringstream strict_log(row.log);
+    try {
+      import_strace(strict_log, "strict", strict);
+      ADD_FAILURE() << row.what << ": strict import accepted it";
+    } catch (const TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find("line " + std::to_string(row.bad_line)),
+                std::string::npos)
+          << row.what << ": " << e.what();
+    }
+    std::istringstream lenient_log(row.log);
+    const Trace t = import_strace(lenient_log, "lenient");
+    EXPECT_EQ(t.size(), row.bad_line - 1) << row.what;
+    EXPECT_NO_THROW(t.validate()) << row.what;
+  }
 }
 
 TEST(StraceImport, MissingFileThrows) {

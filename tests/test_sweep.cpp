@@ -5,12 +5,16 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "device/energy_meter.hpp"
 #include "faults/schedule.hpp"
+#include "policies/factory.hpp"
 #include "workloads/scenarios.hpp"
 
 namespace flexfetch {
@@ -106,6 +110,51 @@ TEST(Sweep, RepeatedParallelRunsAgree) {
   const auto a = sim::run_sweep(cells, {.jobs = 4});
   const auto b = sim::run_sweep(cells, {.jobs = 4});
   for (std::size_t i = 0; i < a.size(); ++i) expect_identical(a[i], b[i]);
+}
+
+TEST(SharedProgramSet, ThreadsCopyAndRunABundleWhileOneMutatesItsCopy) {
+  // Copies of a bundle's programs share its records and compiled set; the
+  // threads only update reference counts. The one thread that mutates its
+  // copy takes a private copy of the records first.
+  const auto bundle =
+      workloads::scenario_grep_make(1, workloads::ScenarioTuning{.workload_scale = 0.15});
+  const std::vector<std::string> names = {"disk-only", "flexfetch", "oracle"};
+  const auto run_all = [&](const std::vector<sim::ProgramSpec>& programs) {
+    std::uint64_t digest = sim::kResultDigestSeed;
+    for (const auto& name : names) {
+      auto policy = policies::make_policy(name, bundle.profiles, &bundle.oracle_future);
+      sim::Simulator simulator(sim::SimConfig{}, programs, *policy);
+      digest = sim::fold_result_digest(digest, simulator.run());
+    }
+    return digest;
+  };
+  std::vector<std::vector<trace::SyscallRecord>> before;
+  for (const auto& p : bundle.programs) before.push_back(p.trace.records());
+  const std::uint64_t serial = run_all(bundle.programs);
+
+  std::vector<std::uint64_t> digests(4, 0);
+  std::size_t mutated_size = 0;
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < digests.size(); ++t) {
+      threads.emplace_back([&, t] {
+        const std::vector<sim::ProgramSpec> copy = bundle.programs;
+        digests[t] = run_all(copy);
+      });
+    }
+    threads.emplace_back([&] {
+      std::vector<sim::ProgramSpec> mine = bundle.programs;
+      mine[0].trace.shift(Seconds{1.0});
+      mine[0].trace.push_back(mine[0].trace.records().back());
+      mutated_size = mine[0].trace.size();
+    });
+    for (auto& t : threads) t.join();
+  }
+  for (const std::uint64_t d : digests) EXPECT_EQ(d, serial);
+  EXPECT_EQ(mutated_size, before[0].size() + 1);
+  for (std::size_t p = 0; p < before.size(); ++p) {
+    EXPECT_EQ(bundle.programs[p].trace.records(), before[p]) << "program " << p;
+  }
 }
 
 TEST(Sweep, MakeGridOrdersWnicsInnermost) {

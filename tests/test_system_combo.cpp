@@ -79,7 +79,8 @@ TEST(SystemCombo, EmptyTraceProgramIsHarmless) {
   programs.push_back(sim::ProgramSpec{.trace = trace::Trace("empty"),
                                       .name = "empty"});
   policies::DiskOnlyPolicy policy;
-  sim::Simulator simulator(sim::SimConfig{}, std::move(programs), policy);
+  sim::Simulator simulator(sim::SimConfig{},
+                           sim::compile_programs(std::move(programs)), policy);
   const auto r = simulator.run();
   EXPECT_EQ(r.syscalls, 1u);
 }
@@ -88,7 +89,8 @@ TEST(SystemCombo, AllEmptyProgramsFinishInstantly) {
   std::vector<sim::ProgramSpec> programs;
   programs.push_back(sim::ProgramSpec{.trace = trace::Trace("e1"), .name = "e1"});
   policies::DiskOnlyPolicy policy;
-  sim::Simulator simulator(sim::SimConfig{}, std::move(programs), policy);
+  sim::Simulator simulator(sim::SimConfig{},
+                           sim::compile_programs(std::move(programs)), policy);
   const auto r = simulator.run();
   EXPECT_EQ(r.syscalls, 0u);
   EXPECT_DOUBLE_EQ(r.makespan.value(), 0.0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -326,6 +327,34 @@ TEST(Histograms, RecordCoversBucketGeometry) {
   EXPECT_EQ(Histogram::bucket_of(-std::numeric_limits<double>::infinity()), 0u);
   EXPECT_EQ(Histogram::bucket_of(std::numeric_limits<double>::quiet_NaN()), 0u);
   EXPECT_EQ(Histogram::bucket_of(-1.0), 0u);
+}
+
+/// bucket_of reads the exponent field; frexp's exponent is the reference.
+std::size_t frexp_bucket(double v) {
+  if (!(v > 0.0)) return 0;
+  if (std::isinf(v)) return Histogram::kBuckets - 1;
+  int exp = 0;
+  (void)std::frexp(v, &exp);
+  const int b = exp - Histogram::kMinExp;
+  if (b < 0) return 0;
+  if (b >= static_cast<int>(Histogram::kBuckets)) return Histogram::kBuckets - 1;
+  return static_cast<std::size_t>(b);
+}
+
+TEST(Histograms, BucketOfMatchesFrexpReference) {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {0.0,         -0.0,          limits::denorm_min(),
+                                limits::max(), limits::infinity(),
+                                -limits::infinity(), limits::quiet_NaN()};
+  for (int e = -40; e <= 40; ++e) {
+    const double p = std::ldexp(1.0, e);
+    values.push_back(p);
+    values.push_back(std::nextafter(p, 0.0));
+    values.push_back(std::nextafter(p, limits::infinity()));
+  }
+  for (const double v : values) {
+    EXPECT_EQ(Histogram::bucket_of(v), frexp_bucket(v)) << v;
+  }
 }
 
 /// Merge is a bucket-wise integer add, so it must be exact and

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 
 namespace flexfetch::trace {
@@ -155,6 +157,50 @@ TEST(Trace, ValidateDetectsNegativeDuration) {
   r.duration = -Seconds{1.0};
   t.push_back(r);
   EXPECT_THROW(t.validate(), TraceError);
+}
+
+TEST(Trace, RejectsNonFiniteTimes) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double v : bad) {
+    Trace t;
+    EXPECT_THROW(t.push_back(rec(Seconds{v}, OpType::kRead, 1, Bytes{0}, Bytes{10})),
+                 TraceError);
+    EXPECT_THROW(t.push_back(rec(Seconds{0.0}, OpType::kRead, 1, Bytes{0},
+                                 Bytes{10}, Seconds{v})),
+                 TraceError);
+    EXPECT_TRUE(t.empty());
+  }
+}
+
+TEST(Trace, CopiesShareRecordsUntilOneIsMutated) {
+  Trace a("a");
+  a.push_back(rec(Seconds{0.0}, OpType::kRead, 1, Bytes{0}, Bytes{10}));
+  a.push_back(rec(Seconds{1.0}, OpType::kRead, 2, Bytes{0}, Bytes{10}));
+  Trace b = a;
+  EXPECT_EQ(&a.records(), &b.records());  // One shared vector.
+  EXPECT_EQ(a.shared_records(), b.shared_records());
+
+  b.push_back(rec(Seconds{2.0}, OpType::kWrite, 3, Bytes{0}, Bytes{10}));
+  b.shift(Seconds{5.0});
+  EXPECT_NE(&a.records(), &b.records());
+  ASSERT_EQ(a.size(), 2u);  // a never sees b's changes.
+  EXPECT_DOUBLE_EQ(a[0].timestamp.value(), 0.0);
+  EXPECT_EQ(b.size(), 3u);
+  EXPECT_DOUBLE_EQ(b[0].timestamp.value(), 5.0);
+
+  Trace c = a;
+  c.merge(a);  // Merging a copy of itself takes a private copy first.
+  EXPECT_EQ(c.size(), 4u);
+  EXPECT_EQ(a.size(), 2u);
+}
+
+TEST(Trace, EmptyTraceHasNoStorage) {
+  const Trace t;
+  EXPECT_EQ(t.shared_records(), nullptr);
+  EXPECT_TRUE(t.records().empty());
+  EXPECT_EQ(t.begin(), t.end());
 }
 
 TEST(Record, ToStringMentionsFields) {

@@ -144,7 +144,9 @@ TEST(Vfs, ReadaheadStateSurvivesAcrossCalls) {
   Vfs vfs(small_vfs());
   vfs.plan_read(read_call(1, Bytes{0}, Bytes{4096}), Seconds{0.0});
   vfs.plan_read(read_call(1, Bytes{4096}, Bytes{4096}), Seconds{1.0});  // Sequential continuation.
-  EXPECT_EQ(vfs.readahead().window_pages(1), 8u);
+  // Inode 1 was the cache's first file: dense id 0.
+  EXPECT_EQ(vfs.cache().file(1), trace::FileId{0});
+  EXPECT_EQ(vfs.readahead().window_pages(trace::FileId{0}), 8u);
 }
 
 }  // namespace
