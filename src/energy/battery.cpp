@@ -46,8 +46,8 @@ BatteryTracker::BatteryTracker(BatteryParams params, Seconds tau,
 }
 
 bool BatteryTracker::observe(Seconds t, Joules device_energy) {
+  if (!due(t)) return false;  // Folded into later samples.
   const Seconds dt = t - last_t_;
-  if (dt < min_sample_interval_) return false;  // Folded into later samples.
   // Mean total platform power over the skipped window: base drain plus
   // the device meters' increment. Folding the whole window at once with a
   // time-constant weight makes the estimate invariant to sampling grain.

@@ -88,12 +88,17 @@ class BatteryTracker {
                           Seconds tau = Seconds{30.0},
                           Seconds min_sample_interval = Seconds{1.0});
 
+  /// True if observe(t, ...) would accept a sample: `t` is at least
+  /// min_sample_interval past the last accepted one. Checking it first lets
+  /// a caller skip computing the device energy, so the hot path pays one
+  /// compare per event.
+  bool due(Seconds t) const { return !(t - last_t_ < min_sample_interval_); }
+
   /// Feeds one (simulated time, cumulative metered device energy) sample.
-  /// Observations closer than min_sample_interval to the last accepted
-  /// one are skipped — the next accepted sample covers the whole gap, so
-  /// the hot path pays one compare per event and an exp() only at the
-  /// sampling cadence. Time must be non-decreasing. Returns whether the
-  /// sample was accepted (callers emit telemetry at that cadence).
+  /// A sample that is not due() is skipped — the next accepted sample
+  /// covers the whole gap, so an exp() runs only at the sampling cadence.
+  /// Time must be non-decreasing. Returns whether the sample was accepted
+  /// (callers emit telemetry at that cadence).
   bool observe(Seconds t, Joules device_energy);
 
   const BatteryParams& params() const { return params_; }

@@ -20,11 +20,26 @@ BufferCache::BufferCache(BufferCacheConfig config) : capacity_(config.capacity_p
   kout_ = std::max<std::size_t>(static_cast<std::size_t>(config.kout_fraction * cap), 1);
 
   // One slot per resident page plus one per ghost; both populations are
-  // bounded (<= capacity_ residents, <= kout_ ghosts), so the reserved arena
-  // never reallocates. Both terms are below 2^32: the sum cannot wrap.
+  // bounded (<= capacity_ residents, <= kout_ ghosts). Both terms are below
+  // 2^32: the sum cannot wrap.
   const std::size_t slots = capacity_ + kout_;
   FF_REQUIRE(slots < kNull, "buffer cache: capacity too large for 32-bit slots");
-  arena_.reserve(slots);
+  // One block, most strictly aligned array first, left unwritten: the
+  // records are trivial types, written when a slot is handed out (the cold
+  // one when its page is dirtied). A byte array's storage implicitly
+  // creates them.
+  const std::size_t hot_bytes = slots * sizeof(Hot);
+  const std::size_t cold_bytes = slots * sizeof(Cold);
+  const std::size_t ring_bytes = capacity_ * sizeof(std::uint32_t);
+  static_assert(sizeof(Hot) % alignof(Cold) == 0 &&
+                sizeof(Cold) % alignof(std::uint32_t) == 0);
+  storage_ = std::make_unique_for_overwrite<std::byte[]>(hot_bytes + cold_bytes +
+                                                         ring_bytes + slots);
+  std::byte* block = storage_.get();
+  hot_ = reinterpret_cast<Hot*>(block);
+  cold_ = reinterpret_cast<Cold*>(block + hot_bytes);
+  a1in_.ids = reinterpret_cast<std::uint32_t*>(block + hot_bytes + cold_bytes);
+  state_ = reinterpret_cast<std::uint8_t*>(block + hot_bytes + cold_bytes + ring_bytes);
 }
 
 void BufferCache::register_files(const trace::CompiledSet& set) {
@@ -35,11 +50,7 @@ void BufferCache::register_files(const trace::CompiledSet& set) {
 }
 
 void BufferCache::register_files(const std::map<Inode, Bytes>& extents) {
-  for (const auto& [inode, size] : extents) {
-    const std::uint64_t pages = page_end_index(Bytes{}, size);
-    FileSpan& span = files_[index_of(file(inode))];
-    if (pages > span.pages) grow(span, pages - 1);
-  }
+  for (const auto& [inode, size] : extents) cover(file(inode), page_end_index(Bytes{}, size));
 }
 
 const BufferCache::FileSpan* BufferCache::find_file(Inode inode) const {
@@ -60,10 +71,10 @@ std::uint32_t BufferCache::slot_of(const PageId& id) const {
   return f != nullptr && id.index < f->pages ? index_[f->base + id.index] : kNull;
 }
 
-std::uint32_t BufferCache::cell(FileHandle f, std::uint64_t page) {
+const BufferCache::FileSpan& BufferCache::cover(FileHandle f, std::uint64_t end) {
   FileSpan& span = files_[index_of(f)];
-  if (page >= span.pages) grow(span, page);
-  return span.base + static_cast<std::uint32_t>(page);
+  if (end > span.pages) grow(span, end - 1);
+  return span;
 }
 
 void BufferCache::grow(FileSpan& span, std::uint64_t page) {
@@ -79,36 +90,34 @@ void BufferCache::grow(FileSpan& span, std::uint64_t page) {
   index_.resize(base + pages, kNull);
   for (std::uint32_t p = 0; !at_end && p < span.pages; ++p) {
     const std::uint32_t s = index_[base + p] = index_[span.base + p];
-    if (s != kNull) arena_[s].cell = static_cast<std::uint32_t>(base + p);
+    if (s != kNull) hot_[s].cell = static_cast<std::uint32_t>(base + p);
   }
   span.base = static_cast<std::uint32_t>(base);
   span.pages = static_cast<std::uint32_t>(pages);
 }
 
 std::uint32_t BufferCache::alloc_slot() {
-  // Recycled slots first, then the next never-used one; appends stay within
-  // the capacity reserved at construction, so they never reallocate.
+  // Recycled slots first, then the next never-used one.
   if (free_head_ == kNull) {
-    FF_ASSERT(arena_.size() < capacity_ + kout_);
-    arena_.emplace_back();
-    return static_cast<std::uint32_t>(arena_.size() - 1);
+    FF_ASSERT(used_ < capacity_ + kout_);
+    return used_++;
   }
   const std::uint32_t s = free_head_;
-  free_head_ = arena_[s].next;
+  free_head_ = hot_[s].next;
   return s;
 }
 
 void BufferCache::free_slot(std::uint32_t s) {
-  arena_[s].where = Where::kFree;
-  arena_[s].next = free_head_;
+  state_[s] = kFree;
+  hot_[s].next = free_head_;
   free_head_ = s;
 }
 
 void BufferCache::chain_push_front(Chain& c, std::uint32_t s) {
-  arena_[s].prev = kNull;
-  arena_[s].next = c.head;
+  hot_[s].prev = kNull;
+  hot_[s].next = c.head;
   if (c.head != kNull) {
-    arena_[c.head].prev = s;
+    hot_[c.head].prev = s;
   } else {
     c.tail = s;
   }
@@ -117,26 +126,45 @@ void BufferCache::chain_push_front(Chain& c, std::uint32_t s) {
 }
 
 void BufferCache::chain_unlink(Chain& c, std::uint32_t s) {
-  const std::uint32_t p = arena_[s].prev;
-  const std::uint32_t n = arena_[s].next;
-  if (p != kNull) arena_[p].next = n; else c.head = n;
-  if (n != kNull) arena_[n].prev = p; else c.tail = p;
+  const std::uint32_t p = hot_[s].prev;
+  const std::uint32_t n = hot_[s].next;
+  if (p != kNull) hot_[p].next = n; else c.head = n;
+  if (n != kNull) hot_[n].prev = p; else c.tail = p;
   --c.size;
+}
+
+void BufferCache::a1in_push(std::uint32_t s) {
+  // A1in never holds more pages than the cache: the ring cannot overflow.
+  a1in_.ids[a1in_.head] = s;
+  a1in_.head = a1in_.head + 1 == capacity_ ? 0 : a1in_.head + 1;
+  ++a1in_.size;
+}
+
+std::uint32_t BufferCache::a1in_pop() {
+  FF_ASSERT(a1in_.size > 0);
+  const std::uint32_t s = a1in_.ids[a1in_.tail];
+  a1in_.tail = a1in_.tail + 1 == capacity_ ? 0 : a1in_.tail + 1;
+  --a1in_.size;
+  return s;
+}
+
+void BufferCache::promote(std::uint32_t s) {
+  // 2Q: a hit in A1in leaves the page in place (FIFO order unchanged).
+  if ((state_[s] & kQueue) == kAm && am_.head != s) {
+    chain_unlink(am_, s);
+    chain_push_front(am_, s);
+  }
 }
 
 bool BufferCache::count_lookup(std::uint32_t s) {
   ++stats_.lookups;
   if (s == kNull) return false;
-  if (arena_[s].where == Where::kA1out) {
+  if ((state_[s] & kQueue) == kA1out) {
     ++stats_.ghost_hits;
     return false;
   }
   ++stats_.hits;
-  if (arena_[s].where == Where::kAm && am_.head != s) {
-    chain_unlink(am_, s);  // Promote to MRU.
-    chain_push_front(am_, s);
-  }
-  // 2Q: a hit in A1in leaves the page in place (FIFO order unchanged).
+  promote(s);
   return true;
 }
 
@@ -157,39 +185,80 @@ bool BufferCache::contains_range(Inode inode, std::uint64_t first,
   return true;
 }
 
-bool BufferCache::read_page(FileHandle f, std::uint64_t page, bool demanded,
-                            Seconds now, std::vector<DirtyPage>& flushed) {
-  const std::uint32_t c = cell(f, page);
-  if (demanded ? count_lookup(index_[c]) : resident(index_[c])) return true;
-  insert_new(c, PageId{files_[index_of(f)].inode, page}, /*dirty=*/false, now,
-             flushed);
-  return false;
+std::uint64_t BufferCache::read_range(FileHandle f, std::uint64_t first,
+                                      std::uint64_t demand_first,
+                                      std::uint64_t demand_end,
+                                      std::uint64_t want_end, Seconds now,
+                                      std::vector<DirtyPage>& flushed,
+                                      std::vector<PageRange>* fetches) {
+  if (want_end <= first) return 0;
+  // Inserting never moves a span, so the span found here serves every page.
+  const FileSpan& span = cover(f, want_end);
+  const std::uint32_t base = span.base;
+  const Inode inode = span.inode;
+  std::uint64_t hits = 0;
+  std::uint64_t run_first = 0;  // The open run of misses.
+  std::uint64_t run_pages = 0;
+  // A demanded page is looked up (counted, promoted), a readahead page only
+  // checked; a miss is filled, evicting per 2Q, and joins the open run.
+  const auto walk = [&](std::uint64_t lo, std::uint64_t hi, bool demanded) {
+    for (std::uint64_t p = lo; p < hi; ++p) {
+      const std::uint32_t c = base + static_cast<std::uint32_t>(p);
+      if (demanded ? count_lookup(index_[c]) : resident(index_[c])) {
+        if (demanded) ++hits;
+        if (run_pages != 0) {
+          if (fetches != nullptr) {
+            fetches->push_back(PageRange{.inode = inode, .first_page = run_first,
+                                         .page_count = run_pages, .file = f});
+          }
+          run_pages = 0;
+        }
+        continue;
+      }
+      insert_new(c, f, /*dirty=*/false, now, flushed);
+      if (run_pages++ == 0) run_first = p;
+    }
+  };
+  // In page order: readahead before the demand, the demand, readahead after.
+  const std::uint64_t d0 = std::clamp(demand_first, first, want_end);
+  const std::uint64_t d1 = std::clamp(demand_end, d0, want_end);
+  walk(first, d0, false);
+  walk(d0, d1, true);
+  walk(d1, want_end, false);
+  if (run_pages != 0 && fetches != nullptr) {
+    fetches->push_back(PageRange{.inode = inode, .first_page = run_first,
+                                 .page_count = run_pages, .file = f});
+  }
+  return hits;
 }
 
-void BufferCache::write_page(FileHandle f, std::uint64_t page, Seconds now,
-                             std::vector<DirtyPage>& flushed) {
-  const std::uint32_t c = cell(f, page);
-  const std::uint32_t s = index_[c];
-  if (!resident(s)) {
-    insert_new(c, PageId{files_[index_of(f)].inode, page}, /*dirty=*/true, now,
-               flushed);
-    return;
-  }
-  if (!arena_[s].dirty) mark_dirty(s, now);
-  if (arena_[s].where == Where::kAm && am_.head != s) {
-    chain_unlink(am_, s);
-    chain_push_front(am_, s);
+void BufferCache::write_range(FileHandle f, std::uint64_t first, std::uint64_t end,
+                              Seconds now, std::vector<DirtyPage>& flushed) {
+  if (end <= first) return;
+  const std::uint32_t base = cover(f, end).base;
+  for (std::uint64_t p = first; p < end; ++p) {
+    const std::uint32_t c = base + static_cast<std::uint32_t>(p);
+    const std::uint32_t s = index_[c];
+    if (!resident(s)) {
+      insert_new(c, f, /*dirty=*/true, now, flushed);
+      continue;
+    }
+    if (!is_dirty(s)) mark_dirty(s, now);
+    promote(s);
   }
 }
 
 void BufferCache::fill(const PageId& id, Seconds now,
                        std::vector<DirtyPage>& flushed) {
-  read_page(file(id.inode), id.index, /*demanded=*/false, now, flushed);
+  FF_REQUIRE(id.index < kNull, "buffer cache: page index too large for 32-bit positions");
+  read_range(file(id.inode), id.index, id.index, id.index, id.index + 1, now,
+             flushed, nullptr);
 }
 
 void BufferCache::write(const PageId& id, Seconds now,
                         std::vector<DirtyPage>& flushed) {
-  write_page(file(id.inode), id.index, now, flushed);
+  FF_REQUIRE(id.index < kNull, "buffer cache: page index too large for 32-bit positions");
+  write_range(file(id.inode), id.index, id.index + 1, now, flushed);
 }
 
 std::vector<DirtyPage> BufferCache::fill(const PageId& id, Seconds now) {
@@ -204,80 +273,84 @@ std::vector<DirtyPage> BufferCache::write(const PageId& id, Seconds now) {
   return flushed;
 }
 
+DirtyPage BufferCache::dirty_page(std::uint32_t s) const {
+  const Hot& h = hot_[s];
+  const FileSpan& span = files_[index_of(h.file)];
+  return DirtyPage{.page = PageId{span.inode, h.cell - span.base},
+                   .dirtied_at = Seconds{cold_[s].dirtied_at},
+                   .file = h.file};
+}
+
 void BufferCache::mark_dirty(std::uint32_t s, Seconds now) {
-  Slot& sl = arena_[s];
-  sl.dirty = true;
-  sl.dirtied_at = now;
+  state_[s] |= kDirty;
+  Cold& sl = cold_[s];
+  sl.dirtied_at = now.value();
   // Simulation time only moves forward, so this is an O(1) append on the
   // hot path; the backward scan runs only for out-of-order timestamps
   // (direct API use) and keeps the sorted-by-age invariant regardless.
   std::uint32_t after = dirty_list_.tail;
-  while (after != kNull && arena_[after].dirtied_at > now) {
-    after = arena_[after].dirty_prev;
+  while (after != kNull && cold_[after].dirtied_at > now.value()) {
+    after = cold_[after].dirty_prev;
   }
   if (after == kNull) {  // New oldest entry: link at the head.
     sl.dirty_prev = kNull;
     sl.dirty_next = dirty_list_.head;
     if (dirty_list_.head != kNull) {
-      arena_[dirty_list_.head].dirty_prev = s;
+      cold_[dirty_list_.head].dirty_prev = s;
     } else {
       dirty_list_.tail = s;
     }
     dirty_list_.head = s;
   } else {  // Link directly after `after`.
     sl.dirty_prev = after;
-    sl.dirty_next = arena_[after].dirty_next;
+    sl.dirty_next = cold_[after].dirty_next;
     if (sl.dirty_next != kNull) {
-      arena_[sl.dirty_next].dirty_prev = s;
+      cold_[sl.dirty_next].dirty_prev = s;
     } else {
       dirty_list_.tail = s;
     }
-    arena_[after].dirty_next = s;
+    cold_[after].dirty_next = s;
   }
   ++dirty_list_.size;
 }
 
 void BufferCache::dirty_unlink(std::uint32_t s) {
-  Slot& sl = arena_[s];
+  const Cold& sl = cold_[s];
   if (sl.dirty_prev != kNull) {
-    arena_[sl.dirty_prev].dirty_next = sl.dirty_next;
+    cold_[sl.dirty_prev].dirty_next = sl.dirty_next;
   } else {
     dirty_list_.head = sl.dirty_next;
   }
   if (sl.dirty_next != kNull) {
-    arena_[sl.dirty_next].dirty_prev = sl.dirty_prev;
+    cold_[sl.dirty_next].dirty_prev = sl.dirty_prev;
   } else {
     dirty_list_.tail = sl.dirty_prev;
   }
   --dirty_list_.size;
-  sl.dirty = false;
-  sl.dirty_prev = sl.dirty_next = kNull;
+  state_[s] &= static_cast<std::uint8_t>(~kDirty);
 }
 
-void BufferCache::insert_new(std::uint32_t c, const PageId& id, bool dirty,
+void BufferCache::insert_new(std::uint32_t c, FileHandle f, bool dirty,
                              Seconds now, std::vector<DirtyPage>& flushed) {
   make_room(flushed);
   ++stats_.insertions;
-  // Re-read after make_room: evicting may have trimmed this id's ghost slot.
-  const std::uint32_t ghost = index_[c];
-  std::uint32_t s;
-  if (ghost != kNull) {
-    // Re-reference of a recently evicted page: admit straight to Am.
-    FF_ASSERT(arena_[ghost].where == Where::kA1out);
-    chain_unlink(a1out_, ghost);
-    s = ghost;
+  // Re-read after make_room: evicting may have trimmed this page's ghost.
+  std::uint32_t s = index_[c];
+  if (s != kNull) {
+    // Re-reference of a recently evicted page: admit straight to Am. A
+    // ghost is clean and already records this cell and file.
+    FF_ASSERT(state_[s] == kA1out);
+    chain_unlink(a1out_, s);
     chain_push_front(am_, s);
-    arena_[s].where = Where::kAm;
+    state_[s] = kAm;
   } else {
     s = alloc_slot();
-    arena_[s].id = id;
-    arena_[s].cell = c;
+    hot_[s].cell = c;
+    hot_[s].file = f;
     index_[c] = s;
-    chain_push_front(a1in_, s);
-    arena_[s].where = Where::kA1in;
+    a1in_push(s);
+    state_[s] = kA1in;
   }
-  arena_[s].dirty = false;
-  arena_[s].dirty_prev = arena_[s].dirty_next = kNull;
   if (dirty) mark_dirty(s, now);
 }
 
@@ -285,55 +358,58 @@ void BufferCache::make_room(std::vector<DirtyPage>& flushed) {
   if (a1in_.size + am_.size < capacity_) return;
   // 2Q "reclaim": prefer shrinking an over-quota A1in, else take the Am LRU.
   if (a1in_.size > kin_ || am_.size == 0) {
-    FF_ASSERT(a1in_.size > 0);
-    const std::uint32_t victim = a1in_.tail;
-    Slot& sl = arena_[victim];
-    if (sl.dirty) {
-      flushed.push_back(DirtyPage{sl.id, sl.dirtied_at});
+    const std::uint32_t victim = a1in_pop();
+    if (is_dirty(victim)) {
+      flushed.push_back(dirty_page(victim));
       dirty_unlink(victim);
     }
-    chain_unlink(a1in_, victim);
     ++stats_.evictions;
     // The victim becomes a ghost in place: same slot, same index cell.
-    sl.where = Where::kA1out;
+    state_[victim] = kA1out;
     chain_push_front(a1out_, victim);
     while (a1out_.size > kout_) {
       const std::uint32_t g = a1out_.tail;
       chain_unlink(a1out_, g);
-      index_[arena_[g].cell] = kNull;
+      index_[hot_[g].cell] = kNull;
       free_slot(g);
     }
   } else {
     const std::uint32_t victim = am_.tail;
-    Slot& sl = arena_[victim];
-    if (sl.dirty) {
-      flushed.push_back(DirtyPage{sl.id, sl.dirtied_at});
+    if (is_dirty(victim)) {
+      flushed.push_back(dirty_page(victim));
       dirty_unlink(victim);
     }
     chain_unlink(am_, victim);
-    index_[sl.cell] = kNull;
+    index_[hot_[victim].cell] = kNull;
     free_slot(victim);
     ++stats_.evictions;
   }
 }
 
+void BufferCache::mark_clean(FileHandle f, std::uint64_t page) {
+  if (index_of(f) >= files_.size()) return;
+  const FileSpan& span = files_[index_of(f)];
+  if (page >= span.pages) return;
+  const std::uint32_t s = index_[span.base + page];
+  if (resident(s) && is_dirty(s)) dirty_unlink(s);
+}
+
 void BufferCache::mark_clean(const PageId& id) {
-  const std::uint32_t s = slot_of(id);
-  if (resident(s) && arena_[s].dirty) dirty_unlink(s);
+  if (const auto f = ids_.find(id.inode)) mark_clean(*f, id.index);
 }
 
 void BufferCache::append_dirty_pages(std::vector<DirtyPage>& out) const {
-  for (std::uint32_t s = dirty_list_.head; s != kNull; s = arena_[s].dirty_next) {
-    out.push_back(DirtyPage{arena_[s].id, arena_[s].dirtied_at});
+  for (std::uint32_t s = dirty_list_.head; s != kNull; s = cold_[s].dirty_next) {
+    out.push_back(dirty_page(s));
   }
 }
 
 void BufferCache::append_dirty_pages_older_than(Seconds now, Seconds min_age,
                                                 std::vector<DirtyPage>& out) const {
   // The chain is ordered by dirtied_at, so eligible pages form a prefix.
-  for (std::uint32_t s = dirty_list_.head; s != kNull; s = arena_[s].dirty_next) {
-    if (now - arena_[s].dirtied_at < min_age) break;
-    out.push_back(DirtyPage{arena_[s].id, arena_[s].dirtied_at});
+  for (std::uint32_t s = dirty_list_.head; s != kNull; s = cold_[s].dirty_next) {
+    if (now - Seconds{cold_[s].dirtied_at} < min_age) break;
+    out.push_back(dirty_page(s));
   }
 }
 
@@ -352,11 +428,11 @@ std::vector<DirtyPage> BufferCache::dirty_pages_older_than(Seconds now,
 }
 
 void BufferCache::clear() {
-  a1in_ = Chain{};
+  a1in_.head = a1in_.tail = a1in_.size = 0;
   am_ = Chain{};
   a1out_ = Chain{};
   dirty_list_ = Chain{};
-  arena_.clear();  // Keeps the reserved capacity.
+  used_ = 0;
   free_head_ = kNull;
   std::fill(index_.begin(), index_.end(), kNull);
 }

@@ -32,6 +32,20 @@ struct PageIdHash {
   }
 };
 
+/// A contiguous page range of one file: a range the kernel wants resident,
+/// a run of cache misses to fetch, or a run of dirty pages to write back.
+struct PageRange {
+  Inode inode = 0;
+  std::uint64_t first_page = 0;
+  std::uint64_t page_count = 0;
+  /// The file's dense id in the cache that planned the range.
+  trace::FileId file{};
+
+  std::uint64_t end_page() const { return first_page + page_count; }
+  Bytes offset() const { return first_page * kPageSize; }
+  Bytes size() const { return page_count * kPageSize; }
+};
+
 /// First page index covering byte `offset`.
 constexpr std::uint64_t page_index(Bytes offset) { return offset / kPageSize; }
 

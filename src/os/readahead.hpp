@@ -21,19 +21,6 @@ struct ReadaheadConfig {
   std::uint64_t max_window_pages = 32;  ///< Cap (128 KiB), per the paper.
 };
 
-/// A contiguous page range the kernel wants resident.
-struct PageRange {
-  Inode inode = 0;
-  std::uint64_t first_page = 0;
-  std::uint64_t page_count = 0;
-  /// The file's dense id in the cache that planned the range.
-  trace::FileId file{};
-
-  std::uint64_t end_page() const { return first_page + page_count; }
-  Bytes offset() const { return first_page * kPageSize; }
-  Bytes size() const { return page_count * kPageSize; }
-};
-
 class Readahead {
  public:
   explicit Readahead(ReadaheadConfig config = {});

@@ -1,7 +1,6 @@
 #include "os/vfs.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/error.hpp"
 
@@ -50,29 +49,10 @@ void Vfs::plan_read(const trace::SyscallRecord& r, trace::FileId file,
     want_end = std::max(demand_end,
                         std::min(want_end, page_end_index(Bytes{}, file_extent)));
   }
-
-  std::optional<PageRange> open_run;
-  for (std::uint64_t p = want.first_page; p < want_end; ++p) {
-    // Readahead pages do not count as application lookups. A miss is filled
-    // (evicted dirty pages land in the plan's buffer) and joins a fetch run.
-    const bool demanded = p >= demand_first && p < demand_end;
-    if (cache_.read_page(file, p, demanded, now, plan.evicted_dirty)) {
-      if (demanded) ++plan.pages_hit;
-      if (open_run) {
-        plan.fetches.push_back(*open_run);
-        open_run.reset();
-      }
-      continue;
-    }
-    if (open_run && open_run->end_page() == p) {
-      ++open_run->page_count;
-    } else {
-      if (open_run) plan.fetches.push_back(*open_run);
-      open_run = PageRange{
-          .inode = r.inode, .first_page = p, .page_count = 1, .file = file};
-    }
-  }
-  if (open_run) plan.fetches.push_back(*open_run);
+  // Readahead pages do not count as application lookups. Misses are filled
+  // (evicted dirty pages land in the plan's buffer) and become fetch runs.
+  plan.pages_hit = cache_.read_range(file, want.first_page, demand_first, demand_end,
+                                     want_end, now, plan.evicted_dirty, &plan.fetches);
 }
 
 void Vfs::plan_read(const trace::SyscallRecord& r, Seconds now,
@@ -95,10 +75,8 @@ void Vfs::plan_write(const trace::SyscallRecord& r, trace::FileId file,
                      WritePlan& plan) {
   FF_REQUIRE(r.op == trace::OpType::kWrite, "plan_write: not a write record");
   plan.reset();
-  for (std::uint64_t p = first; p < end; ++p) {
-    cache_.write_page(file, p, now, plan.evicted_dirty);
-    ++plan.pages_dirtied;
-  }
+  cache_.write_range(file, first, end, now, plan.evicted_dirty);
+  plan.pages_dirtied = end > first ? end - first : 0;
 }
 
 void Vfs::plan_write(const trace::SyscallRecord& r, Seconds now,
@@ -124,33 +102,20 @@ std::vector<DirtyPage> Vfs::select_writeback(Seconds now,
 }
 
 void Vfs::complete_writeback(const std::vector<DirtyPage>& pages) {
-  for (const auto& d : pages) cache_.mark_clean(d.page);
+  for (const auto& d : pages) cache_.mark_clean(d.file, d.page.index);
 }
 
-std::vector<PageRange> Vfs::coalesce(std::vector<PageId> pages) {
-  std::sort(pages.begin(), pages.end());
-  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-  return coalesce_ordered(pages);
-}
-
-void Vfs::coalesce_ordered_into(const std::vector<PageId>& pages,
-                                std::vector<PageRange>& out) {
+void Vfs::coalesce(const std::vector<DirtyPage>& pages, std::vector<PageRange>& out) {
   out.clear();
-  for (const PageId& id : pages) {
-    if (!out.empty() && out.back().inode == id.inode &&
-        out.back().end_page() == id.index) {
+  for (const DirtyPage& d : pages) {
+    if (!out.empty() && out.back().file == d.file &&
+        out.back().end_page() == d.page.index) {
       ++out.back().page_count;
     } else {
-      out.push_back(PageRange{.inode = id.inode, .first_page = id.index,
-                              .page_count = 1});
+      out.push_back(PageRange{.inode = d.page.inode, .first_page = d.page.index,
+                              .page_count = 1, .file = d.file});
     }
   }
-}
-
-std::vector<PageRange> Vfs::coalesce_ordered(const std::vector<PageId>& pages) {
-  std::vector<PageRange> out;
-  coalesce_ordered_into(pages, out);
-  return out;
 }
 
 bool Vfs::range_cached(Inode inode, Bytes offset, Bytes size) const {

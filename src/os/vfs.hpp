@@ -56,8 +56,9 @@ class Vfs {
 
   /// Plans a read of record `r` on `file` (its dense id) into a caller-owned
   /// plan (reset() + refilled; reusing one plan across calls makes this
-  /// allocation-free at steady state). Returns miss ranges (with readahead
-  /// applied) and inserts the to-be-fetched pages into the cache.
+  /// allocation-free at steady state). One BufferCache::read_range call
+  /// returns the miss runs (with readahead applied) and inserts the
+  /// to-be-fetched pages into the cache.
   /// `file_extent`, when non-zero, caps the readahead at end-of-file (the
   /// kernel never prefetches past EOF); the demanded range is never
   /// truncated. `demand_first`/`demand_end` are the record's page span
@@ -76,7 +77,8 @@ class Vfs {
   ReadPlan plan_read(const trace::SyscallRecord& r, Seconds now,
                      Bytes file_extent = Bytes{});
 
-  /// Plans a buffered write: dirties the pages of [first, end) of `file`.
+  /// Plans a buffered write: dirties the pages of [first, end) of `file`
+  /// with one BufferCache::write_range call.
   void plan_write(const trace::SyscallRecord& r, trace::FileId file, Seconds now,
                   std::uint64_t first, std::uint64_t end, WritePlan& plan);
 
@@ -93,21 +95,14 @@ class Vfs {
 
   std::vector<DirtyPage> select_writeback(Seconds now, bool device_active) const;
 
-  /// Marks pages clean after their flush completed.
+  /// Marks pages clean after their flush completed, by file id.
   void complete_writeback(const std::vector<DirtyPage>& pages);
 
-  /// Coalesces pages into per-inode contiguous ranges (flush batching),
-  /// sorting by (inode, page) first.
-  static std::vector<PageRange> coalesce(std::vector<PageId> pages);
-
-  /// Coalesces adjacent runs while preserving the given order — used for
-  /// write-back, which submits oldest-dirty-first and leaves reordering to
-  /// the I/O scheduler.
-  static std::vector<PageRange> coalesce_ordered(const std::vector<PageId>& pages);
-
-  /// In-place variant: `out` is cleared and refilled (capacity kept).
-  static void coalesce_ordered_into(const std::vector<PageId>& pages,
-                                    std::vector<PageRange>& out);
+  /// Coalesces dirty pages into runs of consecutive pages of one file, each
+  /// carrying the file's inode and id, keeping the given order: write-back
+  /// submits oldest-dirty-first and leaves reordering to the I/O scheduler.
+  /// `out` is cleared and refilled (capacity kept).
+  static void coalesce(const std::vector<DirtyPage>& pages, std::vector<PageRange>& out);
 
   /// True if every page of [offset, offset+size) in `inode` is resident —
   /// FlexFetch's Section 2.3.2 cache filter uses this.

@@ -224,10 +224,11 @@ bool Simulator::step() {
       schedule(sync_->next_wakeup(ev.time), EventKind::kSync, 0);
     }
   }
-  // Feed the battery model the post-event energy trajectory. The tracker
-  // subsamples internally, so the common case is one compare; counters go
-  // out only when a sample is actually folded.
-  if (battery_.observe(ev.time, device_energy())) {
+  // Feed the battery model the post-event energy trajectory at the
+  // tracker's cadence: the common case is one compare, and the meters are
+  // summed and counters emitted only when a sample is due.
+  if (battery_.due(ev.time)) {
+    battery_.observe(ev.time, device_energy());
     FF_EMIT_COUNTER(recorder_.get(), kBatteryLevel, ev.time,
                     battery_.fraction());
     FF_EMIT_COUNTER(recorder_.get(), kBatteryDrain, ev.time,
@@ -400,14 +401,10 @@ Seconds Simulator::service_ranges(Seconds t,
 
 Seconds Simulator::flush_dirty(Seconds t, const std::vector<os::DirtyPage>& dirty,
                                const Program* program) {
-  flush_pages_.clear();
-  flush_pages_.reserve(dirty.size());
-  for (const auto& d : dirty) flush_pages_.push_back(d.page);
   // Oldest-dirty-first submission; the I/O scheduler (if enabled) reorders
-  // for the head, exactly as pdflush + elevator divide the work.
-  os::Vfs::coalesce_ordered_into(flush_pages_, flush_ranges_);
-  // Every dirty page belongs to a file of the set.
-  for (os::PageRange& range : flush_ranges_) range.file = set_->find(range.inode).value();
+  // for the head, exactly as pdflush + elevator divide the work. Every dirty
+  // page carries its file's id, which is the set's.
+  os::Vfs::coalesce(dirty, flush_ranges_);
   // Write-back issued by the kernel (periodic flusher) is not attributed to
   // any profiled program.
   static constexpr Program kSystem{.profiled = false};

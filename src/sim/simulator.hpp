@@ -223,12 +223,11 @@ class Simulator {
 
   // Scratch buffers reused across events so the steady-state event loop
   // performs no heap allocation. Planning (read_plan_/write_plan_) and
-  // flushing (flush_pages_/flush_ranges_, wb_scratch_) never nest with
-  // themselves, so one buffer each suffices.
+  // flushing (flush_ranges_, wb_scratch_) never nest with themselves, so
+  // one buffer each suffices.
   os::ReadPlan read_plan_;
   os::WritePlan write_plan_;
   std::vector<os::DirtyPage> wb_scratch_;
-  std::vector<os::PageId> flush_pages_;
   std::vector<os::PageRange> flush_ranges_;
 
   // Telemetry bookkeeping (only advanced when recorder_ is live).

@@ -17,6 +17,17 @@ constexpr std::uint64_t page_end_of(Bytes offset, Bytes size) {
                          : (offset + size - Bytes{1}) / kPageSize + 1;
 }
 
+constexpr std::uint32_t kNoFile = 0xffffffffu;
+
+/// The home cell of `inode` in a table of `mask` + 1 cells (splitmix64's
+/// finalizer, so clustered inode numbers spread out).
+std::size_t home_cell(Inode inode, std::size_t mask) {
+  std::uint64_t z = inode + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<std::size_t>(z ^ (z >> 31)) & mask;
+}
+
 /// Appends the inodes of `trace`'s records (runs of one inode once each).
 void collect_inodes(const Trace& trace, std::vector<Inode>& out) {
   for (const SyscallRecord& r : trace) {
@@ -90,10 +101,18 @@ std::shared_ptr<const CompiledSet> CompiledSet::compile(
   std::vector<Inode>& inodes = set->inodes_;
   for (const Member& m : members) collect_inodes(*m.trace, inodes);
   sort_unique(inodes);
-  FF_REQUIRE(inodes.size() < std::size_t{0xffffffffu},
+  FF_REQUIRE(inodes.size() < std::size_t{kNoFile},
              "compiled set: too many files for 32-bit file ids");
 
   const std::size_t files = inodes.size();
+  std::size_t cells = 2;
+  while (cells < 2 * files) cells *= 2;
+  set->by_inode_.assign(cells, kNoFile);
+  for (std::size_t f = 0; f < files; ++f) {
+    std::size_t c = home_cell(inodes[f], cells - 1);
+    while (set->by_inode_[c] != kNoFile) c = (c + 1) & (cells - 1);
+    set->by_inode_[c] = static_cast<std::uint32_t>(f);
+  }
   std::vector<Bytes> extents(files, Bytes{0});
   set->pinned_.assign(files, 0);
   set->programs_.reserve(members.size());
@@ -123,9 +142,13 @@ std::shared_ptr<const CompiledSet> CompiledSet::compile(
 }
 
 std::optional<FileId> CompiledSet::find(Inode inode) const {
-  const auto it = std::lower_bound(inodes_.begin(), inodes_.end(), inode);
-  if (it == inodes_.end() || *it != inode) return std::nullopt;
-  return FileId{static_cast<std::uint32_t>(it - inodes_.begin())};
+  // At most half the cells are taken, so every probe sequence ends.
+  const std::size_t mask = by_inode_.size() - 1;
+  for (std::size_t c = home_cell(inode, mask);; c = (c + 1) & mask) {
+    const std::uint32_t f = by_inode_[c];
+    if (f == kNoFile) return std::nullopt;
+    if (inodes_[f] == inode) return FileId{f};
+  }
 }
 
 namespace {

@@ -129,7 +129,8 @@ class CompiledSet {
   const CompiledTrace& program(std::size_t i) const { return programs_[i]; }
 
   std::size_t file_count() const { return inodes_.size(); }
-  /// The id of `inode`, if a program of the set touches it.
+  /// The id of `inode`, if a program of the set touches it: one probe of a
+  /// hash table at most half full, in the common case.
   std::optional<FileId> find(Inode inode) const;
 
   /// True if a disk-pinned program reads or writes the file.
@@ -145,6 +146,9 @@ class CompiledSet {
 
   std::vector<CompiledTrace> programs_;
   std::vector<Inode> inodes_;  ///< Id -> inode, ascending.
+  /// Inode -> id: open addressing with linear probing over a power-of-two
+  /// table at least twice the file count; free cells hold kNoFile.
+  std::vector<std::uint32_t> by_inode_;
   std::vector<std::uint8_t> pinned_;
   std::vector<PageSpan> spans_;
   std::uint32_t total_pages_ = 0;

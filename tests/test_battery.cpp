@@ -121,6 +121,27 @@ TEST(BatteryTracker, RejectsInvalidParams) {
       ConfigError);
 }
 
+TEST(BatteryTracker, DueMatchesObserveAcceptTest) {
+  // The first sample, one ulp before the next is due, and exactly
+  // min_sample_interval after the first: due() answers what observe()
+  // then does, for an exact and an inexact interval.
+  for (const double interval : {1.0, 0.1}) {
+    for (const double first : {2.5, 1.3}) {
+      BatteryTracker t(BatteryParams{}, Seconds{30.0}, Seconds{interval});
+      const double exact = first + interval;
+      const double times[] = {first, std::nextafter(exact, 0.0), exact};
+      const bool accepted[] = {true, false, exact - first >= interval};
+      for (std::size_t i = 0; i < 3; ++i) {
+        const Seconds when{times[i]};
+        const bool due = t.due(when);
+        EXPECT_EQ(due, accepted[i]) << "interval " << interval << ", t " << times[i];
+        EXPECT_EQ(t.observe(when, Joules{static_cast<double>(i)}), due)
+            << "interval " << interval << ", t " << times[i];
+      }
+    }
+  }
+}
+
 TEST(BatteryTracker, EwmaConvergesOnConstantPowerTrace) {
   BatteryParams p;
   p.capacity = Joules{1e6};

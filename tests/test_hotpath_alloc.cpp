@@ -1,8 +1,8 @@
 // Asserts the zero-allocation contract of the arena hot path: after
 // construction and registration of its files (BufferCache, from its first
 // use on, as in a Simulator run) or warm-up (CScan),
-// BufferCache::lookup/fill/write/clear and CScanScheduler::submit/dispatch
-// perform no heap allocation. Pages of files never registered grow their
+// BufferCache::read_range/write_range/mark_clean by id, lookup/fill/write/
+// clear and CScanScheduler::submit/dispatch perform no heap allocation. Pages of files never registered grow their
 // page index on first touch; a repeated pass over them allocates nothing.
 // Readahead over registered files and writing and merging a MetricsRegistry
 // allocate nothing either, and a Simulator's setup allocates the same
@@ -99,8 +99,8 @@ TEST(HotpathAllocation, BufferCacheSteadyStateIsAllocationFree) {
 }
 
 TEST(HotpathAllocation, BufferCacheFirstUseIsAllocationFree) {
-  // A fresh cache appends arena slots on first use; every one must come
-  // from the capacity the constructor reserved. Fill from empty past
+  // A fresh cache hands out never-used slots on first use; every one must
+  // come from the arrays the constructor sized. Fill from empty past
   // capacity + kout distinct pages, writes mixed in, so the arena reaches
   // its full size, the ghost list overflows and freed slots are recycled;
   // then clear() and fill again. The three files are registered first, in
@@ -163,6 +163,38 @@ TEST(HotpathAllocation, BufferCacheRepeatedPassAfterGrowthIsAllocationFree) {
   const std::uint64_t after = allocation_count();
   EXPECT_EQ(after - before, 0u)
       << "BufferCache repeated pass allocated " << (after - before) << " times";
+}
+
+TEST(HotpathAllocation, RangeCallsAndMarkCleanByIdAreAllocationFree) {
+  // Vfs's path: read_range / write_range by file id into reused buffers,
+  // and write-back completion by id, over registered files. From the first
+  // call on: the cache fills, ghosts overflow and slots recycle.
+  BufferCacheConfig config;
+  config.capacity_pages = 1024;
+  BufferCache cache(config);
+  cache.register_files({{1, 8192 * kPageSize}, {2, 8192 * kPageSize}});
+  const trace::FileId one = cache.file(1);
+  const trace::FileId two = cache.file(2);
+  std::vector<DirtyPage> flushed;
+  flushed.reserve(8192);
+  std::vector<PageRange> fetches;
+  fetches.reserve(64);
+
+  const std::uint64_t before = allocation_count();
+  Seconds now = Seconds{0.0};
+  for (std::uint64_t i = 0; i < 20000; ++i) {
+    now += Seconds{0.001};
+    const std::uint64_t first = (i * 37) % 8000;
+    fetches.clear();
+    cache.read_range(one, first, first, first + 4, first + 32, now, flushed, &fetches);
+    cache.write_range(two, first / 2, first / 2 + 8, now, flushed);
+    if (i % 3 == 0) cache.mark_clean(two, first / 2 + 1);
+    if (flushed.size() > 4096) flushed.clear();
+  }
+  const std::uint64_t after = allocation_count();
+  EXPECT_GT(cache.stats().evictions, 0u);
+  EXPECT_EQ(after - before, 0u)
+      << "range calls and mark_clean by id allocated " << (after - before) << " times";
 }
 
 TEST(HotpathAllocation, CScanSteadyStateIsAllocationFree) {
@@ -264,7 +296,7 @@ TEST(HotpathAllocation, SimulatorSetupDoesNotAllocatePerFile) {
 
 TEST(HotpathAllocation, ConstructionAllocatesOnlyFixedStructures) {
   // Sanity check that the counter works at all: construction must allocate
-  // (the reserved arena).
+  // (the slot arrays).
   const std::uint64_t before = allocation_count();
   BufferCache cache;
   EXPECT_GT(allocation_count(), before);

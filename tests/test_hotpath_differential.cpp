@@ -1,8 +1,9 @@
-// Randomized differential tests for the arena-backed hot path: the slot-arena
-// 2Q cache and the flat C-SCAN scheduler are driven op-for-op against
-// reference implementations (the former std::list/std::unordered_map and
-// std::map versions, kept verbatim below) and must agree on every return
-// value, eviction, stat counter, and dirty-list ordering. This is the
+// Randomized differential tests for the arena-backed hot path: the 2Q cache
+// and the flat C-SCAN scheduler are driven op-for-op against reference
+// implementations (the former std::list/std::unordered_map and std::map
+// versions, kept verbatim below) and must agree on every return value,
+// eviction, stat counter, and dirty-list ordering. The cache's range entry
+// points are driven against the reference page by page. This is the
 // bit-identity contract of the rewrite: same simulated numbers, new layout.
 #include <cstdint>
 #include <list>
@@ -491,6 +492,201 @@ TEST(HotpathDifferential, FileBoundariesAndSpanGrowthMatchReference) {
     // Drain: every page is evicted in 2Q order, dirty ones reported.
     for (std::uint64_t p = 0; p < 40; ++p) c.fill(PageId{3, 100 + p});
     for (const PageId& id : probes) c.lookup(id);
+  }
+}
+
+/// Drives the cache through read_range / write_range and the reference
+/// page by page, as Vfs planned reads and writes before the range entry
+/// points: a demanded page is looked up, any other page of the window only
+/// checked, and each miss filled; a write writes each page. After every
+/// call it compares the hits, the fetch runs, the evicted dirty pages (page,
+/// dirtied_at and file id), the residency of the probe pages, the dirty
+/// list, the size and the stats.
+class RangeLockstep {
+ public:
+  RangeLockstep(const BufferCacheConfig& config, std::vector<PageId> probes)
+      : cache(config), ref(config), probes_(std::move(probes)) {}
+
+  /// The id the cache gave `inode` (assigning one on first use).
+  trace::FileId id(Inode inode) { return cache.file(inode); }
+
+  void read(Inode inode, std::uint64_t first, std::uint64_t demand_first,
+            std::uint64_t demand_end, std::uint64_t want_end) {
+    tick();
+    flushed_.clear();
+    fetches_.clear();
+    const std::uint64_t hits = cache.read_range(id(inode), first, demand_first, demand_end,
+                                                want_end, now_, flushed_, &fetches_);
+    std::uint64_t ref_hits = 0;
+    std::vector<DirtyPage> ref_flushed;
+    std::vector<PageRange> ref_fetches;
+    for (std::uint64_t p = first; p < want_end; ++p) {
+      const PageId page{inode, p};
+      const bool demanded = p >= demand_first && p < demand_end;
+      if (demanded ? ref.lookup(page, now_) : ref.contains(page)) {
+        if (demanded) ++ref_hits;
+        continue;
+      }
+      append(ref_flushed, ref.fill(page, now_));
+      if (!ref_fetches.empty() && ref_fetches.back().end_page() == p) {
+        ++ref_fetches.back().page_count;
+      } else {
+        ref_fetches.push_back(
+            PageRange{.inode = inode, .first_page = p, .page_count = 1, .file = id(inode)});
+      }
+    }
+    const std::string at = where(inode, first, want_end);
+    EXPECT_EQ(hits, ref_hits) << at;
+    ASSERT_EQ(fetches_.size(), ref_fetches.size()) << at;
+    for (std::size_t i = 0; i < fetches_.size(); ++i) {
+      EXPECT_EQ(fetches_[i].inode, ref_fetches[i].inode) << at;
+      EXPECT_EQ(fetches_[i].file, ref_fetches[i].file) << at;
+      EXPECT_EQ(fetches_[i].first_page, ref_fetches[i].first_page) << at;
+      EXPECT_EQ(fetches_[i].page_count, ref_fetches[i].page_count) << at;
+    }
+    check(ref_flushed, at);
+  }
+
+  void write(Inode inode, std::uint64_t first, std::uint64_t end) {
+    tick();
+    flushed_.clear();
+    cache.write_range(id(inode), first, end, now_, flushed_);
+    std::vector<DirtyPage> ref_flushed;
+    for (std::uint64_t p = first; p < end; ++p) {
+      append(ref_flushed, ref.write(PageId{inode, p}, now_));
+    }
+    check(ref_flushed, where(inode, first, end));
+  }
+
+  void mark_clean(Inode inode, std::uint64_t page) {
+    tick();
+    flushed_.clear();
+    cache.mark_clean(id(inode), page);
+    ref.mark_clean(PageId{inode, page});
+    check({}, where(inode, page, page + 1));
+  }
+
+  /// Evicted dirty pages seen so far.
+  std::size_t dirty_evictions() const { return dirty_evictions_; }
+
+  BufferCache cache;
+  Reference2Q ref;
+
+ private:
+  static void append(std::vector<DirtyPage>& to, const std::vector<DirtyPage>& from) {
+    to.insert(to.end(), from.begin(), from.end());
+  }
+  void tick() {
+    now_ += Seconds{0.001};
+    ++op_;
+  }
+  std::string where(Inode inode, std::uint64_t first, std::uint64_t end) const {
+    return "op " + std::to_string(op_) + " on file " + std::to_string(inode) + " pages [" +
+           std::to_string(first) + ", " + std::to_string(end) + ")";
+  }
+  void check(const std::vector<DirtyPage>& ref_flushed, const std::string& at) {
+    EXPECT_TRUE(same_dirty(flushed_, ref_flushed)) << at;
+    for (const DirtyPage& d : flushed_) {
+      EXPECT_EQ(d.file, id(d.page.inode)) << at;
+    }
+    dirty_evictions_ += flushed_.size();
+    for (const PageId& p : probes_) {
+      EXPECT_EQ(cache.contains(p), ref.contains(p))
+          << at << ", probe (" << p.inode << ", " << p.index << ")";
+    }
+    const std::vector<DirtyPage> dirty = cache.dirty_pages();
+    EXPECT_TRUE(same_dirty(dirty, ref.dirty_pages())) << at;
+    for (const DirtyPage& d : dirty) EXPECT_EQ(d.file, id(d.page.inode)) << at;
+    EXPECT_EQ(cache.size(), ref.size()) << at;
+    EXPECT_TRUE(same_stats(cache.stats(), ref.stats())) << at;
+  }
+
+  std::vector<PageId> probes_;
+  std::vector<DirtyPage> flushed_;
+  std::vector<PageRange> fetches_;
+  std::size_t dirty_evictions_ = 0;
+  Seconds now_ = Seconds{0.0};
+  int op_ = 0;
+};
+
+std::vector<PageId> probe_pages(std::uint64_t pages) {
+  std::vector<PageId> probes;
+  for (const Inode f : {Inode{1}, Inode{2}, Inode{3}}) {
+    for (std::uint64_t p = 0; p < pages; ++p) probes.push_back(PageId{f, p});
+  }
+  return probes;
+}
+
+TEST(HotpathDifferential, RangeCallsMatchPerPageReferenceOverRandomWindows) {
+  // Capacity 64 (kin 16, kout 32) against windows of up to 48 pages over
+  // three files: ranges evict dirty pages, re-admit ghosts and outgrow the
+  // files' spans (file 2 is registered small, the others not at all).
+  BufferCacheConfig config;
+  config.capacity_pages = 64;
+  RangeLockstep c(config, probe_pages(260));
+  c.cache.register_files({{2, 8 * kPageSize}});
+  std::mt19937 rng(0x2a11ce5u);
+  std::uniform_int_distribution<Inode> inode(1, 3);
+  std::uniform_int_distribution<std::uint64_t> start(0, 200);
+  std::uniform_int_distribution<std::uint64_t> len(0, 16);
+  std::uniform_int_distribution<int> op(0, 9);
+  for (int i = 0; i < 3000; ++i) {
+    const Inode f = inode(rng);
+    const std::uint64_t first = start(rng);
+    const int o = op(rng);
+    if (o < 6) {
+      // Readahead before the demand (o == 0), the demand, readahead after.
+      const std::uint64_t demand_first = first + (o == 0 ? len(rng) : 0);
+      const std::uint64_t demand_end = demand_first + len(rng);
+      c.read(f, first, demand_first, demand_end, demand_end + 2 * len(rng));
+    } else if (o < 9) {
+      c.write(f, first, first + len(rng));
+    } else {
+      c.mark_clean(f, first);
+    }
+  }
+  EXPECT_GT(c.cache.stats().ghost_hits, 0u);
+  EXPECT_GT(c.cache.stats().evictions, 0u);
+  EXPECT_GT(c.dirty_evictions(), 0u);
+}
+
+TEST(HotpathDifferential, RangeEdgeCasesMatchPerPageReference) {
+  BufferCacheConfig config;
+  config.capacity_pages = 16;  // kin = 4, kout = 8.
+  {
+    // Span growth mid-range: file 1's 8-page span is outgrown by a read of
+    // [4, 20), and file 2's by a write of [6, 30), which evicts its own
+    // dirty pages mid-range in A1in order.
+    RangeLockstep c(config, probe_pages(64));
+    c.cache.register_files({{1, 8 * kPageSize}, {2, 8 * kPageSize}});
+    c.read(1, 4, 4, 6, 20);
+    c.write(2, 6, 30);
+    EXPECT_GT(c.dirty_evictions(), 0u);
+    c.mark_clean(2, 29);
+    // Empty and inverted windows are no-ops.
+    c.read(1, 30, 30, 30, 30);
+    c.read(1, 30, 31, 29, 29);
+    c.write(2, 5, 5);
+  }
+  {
+    // Pages 0..23 of file 1 stream through A1in, leaving pages 0..7 on
+    // A1out (page 0 oldest) and 8..23 resident.
+    RangeLockstep c(config, probe_pages(32));
+    for (std::uint64_t p = 0; p < 24; ++p) c.read(1, p, p, p, p + 1);
+    // Ghosts re-admitted inside one range: pages 4..7 sit in the middle of
+    // A1out, and each miss of [4, 8) evicts an A1in page to A1out (the
+    // first trims ghost 0) before re-admitting the page's ghost to Am.
+    // Page 4 is demanded, so its lookup counts a ghost hit.
+    c.read(1, 4, 4, 5, 8);
+    EXPECT_EQ(c.cache.stats().ghost_hits, 1u);
+    // Page 0 misses outright. Ghosts 1..3 are now the oldest, and each miss
+    // trims the very ghost it re-reads, so they come back as new A1in
+    // pages; page 1's demanded lookup still counts a ghost hit.
+    c.read(1, 0, 0, 2, 4);
+    EXPECT_EQ(c.cache.stats().ghost_hits, 2u);
+    // A write over resident, ghost and absent pages, with its evictions.
+    c.write(1, 2, 12);
+    c.read(1, 0, 0, 16, 24);
   }
 }
 

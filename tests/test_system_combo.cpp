@@ -109,8 +109,14 @@ TEST(SystemCombo, FlexFetchWithEmptyMergedProfileList) {
 }
 
 TEST(SystemCombo, CoalesceOrderedPreservesSubmissionOrder) {
-  const std::vector<os::PageId> pages{{2, 5}, {2, 6}, {1, 0}, {1, 1}, {2, 7}};
-  const auto ranges = os::Vfs::coalesce_ordered(pages);
+  // Inode 1 is file 0 and inode 2 file 1, as a cache numbers them.
+  const auto dirty = [](trace::Inode inode, std::uint64_t page) {
+    return os::DirtyPage{.page = {inode, page},
+                         .file = trace::FileId{static_cast<std::uint32_t>(inode - 1)}};
+  };
+  std::vector<os::PageRange> ranges;
+  os::Vfs::coalesce({dirty(2, 5), dirty(2, 6), dirty(1, 0), dirty(1, 1), dirty(2, 7)},
+                    ranges);
   ASSERT_EQ(ranges.size(), 3u);
   EXPECT_EQ(ranges[0].inode, 2u);  // First-submitted stays first.
   EXPECT_EQ(ranges[0].page_count, 2u);

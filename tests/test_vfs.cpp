@@ -115,19 +115,21 @@ TEST(Vfs, CompleteWritebackMarksClean) {
 }
 
 TEST(Vfs, CoalesceGroupsContiguousPages) {
-  const auto ranges = Vfs::coalesce({PageId{1, 0}, PageId{1, 1}, PageId{1, 3},
-                                     PageId{2, 0}, PageId{1, 2}});
+  const trace::FileId one{0};
+  const trace::FileId two{1};
+  std::vector<PageRange> ranges;
+  Vfs::coalesce({DirtyPage{.page = {1, 0}, .file = one}, DirtyPage{.page = {1, 1}, .file = one},
+                 DirtyPage{.page = {1, 2}, .file = one}, DirtyPage{.page = {1, 3}, .file = one},
+                 DirtyPage{.page = {2, 4}, .file = two}},
+                ranges);
   ASSERT_EQ(ranges.size(), 2u);
   EXPECT_EQ(ranges[0].inode, 1u);
+  EXPECT_EQ(ranges[0].file, one);
   EXPECT_EQ(ranges[0].first_page, 0u);
-  EXPECT_EQ(ranges[0].page_count, 4u);  // 0-3 merged (duplicates removed).
+  EXPECT_EQ(ranges[0].page_count, 4u);  // 0-3 merged.
   EXPECT_EQ(ranges[1].inode, 2u);
-}
-
-TEST(Vfs, CoalesceDeduplicates) {
-  const auto ranges = Vfs::coalesce({PageId{1, 0}, PageId{1, 0}});
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0].page_count, 1u);
+  EXPECT_EQ(ranges[1].file, two);  // Page 4 of another file stays apart.
+  EXPECT_EQ(ranges[1].first_page, 4u);
 }
 
 TEST(Vfs, RangeCachedChecksEveryPage) {

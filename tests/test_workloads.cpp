@@ -1,8 +1,14 @@
+#include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "fleet/catalog.hpp"
+#include "fleet/runner.hpp"
 #include "workloads/generators.hpp"
 #include "workloads/scenarios.hpp"
 
@@ -226,6 +232,47 @@ TEST(Scenarios, TuningRejectsNonPositiveAndNonFiniteScales) {
       EXPECT_THROW(build(1, ScenarioTuning{.workload_scale = bad}), ConfigError);
     }
   }
+}
+
+/// Checks `set.find` against a binary search of the set's ascending
+/// inodes on every inode, each inode's neighbours, 0 and the largest inode.
+void expect_find_matches_binary_search(const trace::CompiledSet& set) {
+  std::vector<trace::Inode> inodes;
+  for (const trace::PageSpan& span : set.page_spans()) inodes.push_back(span.inode);
+  ASSERT_TRUE(std::is_sorted(inodes.begin(), inodes.end()));
+  const auto reference = [&](trace::Inode inode) -> std::optional<trace::FileId> {
+    const auto it = std::lower_bound(inodes.begin(), inodes.end(), inode);
+    if (it == inodes.end() || *it != inode) return std::nullopt;
+    return trace::FileId{static_cast<std::uint32_t>(it - inodes.begin())};
+  };
+  std::vector<trace::Inode> queries{0, std::numeric_limits<trace::Inode>::max()};
+  for (const trace::Inode inode : inodes) {
+    queries.insert(queries.end(), {inode - 1, inode, inode + 1});
+  }
+  for (const trace::Inode inode : queries) {
+    EXPECT_EQ(set.find(inode), reference(inode)) << "inode " << inode;
+  }
+}
+
+TEST(Scenarios, CompiledSetFindAgreesWithBinarySearch) {
+  for (const ScenarioBundle& b : all_scenarios(1)) {
+    SCOPED_TRACE(b.name);
+    expect_find_matches_binary_search(*b.programs.front().compiled->set());
+  }
+  // The fleet catalog's bundles: five scenarios at each think bucket.
+  const fleet::FleetConfig config;
+  fleet::ScenarioCatalog catalog(config.population.scenario_seed,
+                                 config.population.think_scales, config.tuning);
+  std::size_t bundles = 0;
+  for (std::size_t s = 0; s < kScenarioCount; ++s) {
+    for (std::size_t t = 0; t < config.population.think_scales.size(); ++t) {
+      const ScenarioBundle& b = catalog.bundle(s, t);
+      SCOPED_TRACE(b.name);
+      expect_find_matches_binary_search(*b.programs.front().compiled->set());
+      ++bundles;
+    }
+  }
+  EXPECT_EQ(bundles, 15u);
 }
 
 }  // namespace
