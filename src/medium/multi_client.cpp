@@ -1,7 +1,6 @@
 #include "medium/multi_client.hpp"
 
-#include <algorithm>
-#include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -18,29 +17,6 @@ MultiClientSim::MultiClientSim(MultiClientConfig config,
     FF_REQUIRE(c.policy != nullptr,
                "multi-client: client '" + c.name + "' has no policy");
   }
-}
-
-void ClientFrontier::push(Seconds t, std::size_t client) {
-  heap_.push_back(Entry{t, client});
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-}
-
-void ClientFrontier::retime_top(Seconds t) {
-  // Sift the re-keyed root down to its place.
-  const Entry moved{t, heap_.front().client};
-  std::size_t i = 0;
-  for (std::size_t c = 1; c < heap_.size(); c = 2 * i + 1) {
-    if (c + 1 < heap_.size() && heap_[c] > heap_[c + 1]) ++c;
-    if (!(moved > heap_[c])) break;
-    heap_[i] = heap_[c];
-    i = c;
-  }
-  heap_[i] = moved;
-}
-
-void ClientFrontier::pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  heap_.pop_back();
 }
 
 MultiClientResult MultiClientSim::run() {
@@ -70,28 +46,31 @@ MultiClientResult MultiClientSim::run() {
   if (config_.audit.enabled) audit.emplace(config_.audit);
 
   // Global event loop: always advance the simulator holding the earliest
-  // pending event; ties go to the lowest client index, so the interleaving
-  // is a deterministic function of the inputs.
-  ClientFrontier frontier;
-  for (std::size_t i = 0; i < sims.size(); ++i) {
-    if (!sims[i]->done()) frontier.push(sims[i]->next_event_time(), i);
-  }
-  while (!frontier.empty()) {
-    const std::size_t best = frontier.top();
-    // No simulator can produce an event before the top's time anymore, so
+  // pending event; the strict < keeps ties on the lowest client index, so
+  // the interleaving is a deterministic function of the inputs.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  for (;;) {
+    std::size_t best = kNone;
+    Seconds best_t = Seconds{0.0};
+    for (std::size_t i = 0; i < sims.size(); ++i) {
+      if (sims[i]->done()) continue;
+      const Seconds t = sims[i]->next_event_time();
+      if (best == kNone || t < best_t) {
+        best = i;
+        best_t = t;
+      }
+    }
+    if (best == kNone) break;
+
+    // No simulator can produce an event before best_t anymore, so
     // intervals ending at or before it are dead — prune them.
-    medium.set_frontier(frontier.top_time());
+    medium.set_frontier(best_t);
     sims[best]->step();
     // BOINC-style status report: refresh the battery fraction the server's
     // admission policy sees, from the client's metered device energy.
     medium.report_battery(best, sims[best]->now(),
                           sims[best]->device_energy());
     if (audit) audit->on_medium_step(sims[best]->now(), medium);
-    if (sims[best]->done()) {
-      frontier.pop();
-    } else {
-      frontier.retime_top(sims[best]->next_event_time());
-    }
   }
 
   MultiClientResult out;

@@ -67,33 +67,6 @@ struct MultiClientResult {
   std::vector<double> battery_final;
 };
 
-/// The coordinator's choice of the next client to step: a binary min-heap
-/// of (next event time, client index), so ties go to the lowest index, as a
-/// scan for the earliest event with a strict < would pick. Stepping one
-/// simulator changes no other's queue, so only the top is ever re-keyed.
-class ClientFrontier {
- public:
-  void push(Seconds t, std::size_t client);
-  bool empty() const { return heap_.empty(); }
-  /// The client holding the earliest event, and that event's time.
-  std::size_t top() const { return heap_.front().client; }
-  Seconds top_time() const { return heap_.front().time; }
-  /// Re-keys the top client to its next event time `t`.
-  void retime_top(Seconds t);
-  /// Drops the top client (it has no events left).
-  void pop();
-
- private:
-  struct Entry {
-    Seconds time;
-    std::size_t client;
-    bool operator>(const Entry& o) const {
-      return time != o.time ? time > o.time : client > o.client;
-    }
-  };
-  std::vector<Entry> heap_;
-};
-
 class MultiClientSim {
  public:
   MultiClientSim(MultiClientConfig config, std::vector<ClientSpec> clients);

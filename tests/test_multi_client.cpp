@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,54 +82,6 @@ Fleet make_fleet(std::size_t n, const std::string& policy,
     f.specs.push_back(std::move(spec));
   }
   return f;
-}
-
-TEST(MultiClient, FrontierStepsInLinearScanOrderUnderTies) {
-  // Six clients whose event times tie often, across clients and within
-  // one: the heap must pick, step after step, what a scan for the earliest
-  // event with a strict < picks (ties to the lowest index).
-  constexpr std::size_t kClients = 6;
-  std::vector<std::vector<double>> events(kClients);
-  std::uint64_t state = 12345;
-  const auto draw = [&state] {  // A small LCG over the steps 0, 0, 1, 2.
-    static constexpr double kSteps[] = {0.0, 0.0, 1.0, 2.0};
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return kSteps[(state >> 33) % 4];
-  };
-  for (std::size_t c = 0; c < kClients; ++c) {
-    double t = 0.0;
-    for (std::size_t e = 0; e < 40 + 7 * c; ++e) events[c].push_back(t += draw());
-  }
-
-  std::vector<std::size_t> scan_order;
-  std::vector<std::size_t> next(kClients, 0);
-  for (;;) {
-    std::size_t best = kClients;
-    for (std::size_t c = 0; c < kClients; ++c) {
-      if (next[c] == events[c].size()) continue;
-      if (best == kClients || events[c][next[c]] < events[best][next[best]]) best = c;
-    }
-    if (best == kClients) break;
-    scan_order.push_back(best);
-    ++next[best];
-  }
-
-  std::vector<std::size_t> heap_order;
-  std::fill(next.begin(), next.end(), 0);
-  ClientFrontier frontier;
-  for (std::size_t c = 0; c < kClients; ++c) frontier.push(Seconds{events[c][0]}, c);
-  while (!frontier.empty()) {
-    const std::size_t c = frontier.top();
-    EXPECT_EQ(frontier.top_time(), Seconds{events[c][next[c]]});
-    heap_order.push_back(c);
-    if (++next[c] == events[c].size()) {
-      frontier.pop();
-    } else {
-      frontier.retime_top(Seconds{events[c][next[c]]});
-    }
-  }
-  EXPECT_EQ(heap_order, scan_order);
-  EXPECT_EQ(scan_order.size(), 6 * 40 + 7 * 15u);
 }
 
 TEST(MultiClient, SingleClientDegeneracy) {
